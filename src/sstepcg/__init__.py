@@ -74,5 +74,6 @@ __all__ = [
     "run_grid",
     "select_s_tilde",
     "spmv",
+    "sstep_solve",
     "sym_eig",
 ]

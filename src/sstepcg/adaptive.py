@@ -28,6 +28,7 @@ from .basis import (
     params_for,
     DEFAULT_LEJA_GRID,
 )
+from .lacore import nested_basis_conds
 from .ritz import MACHINE_UNIT, BreakdownSignal, RitzState, abs_matrix_norm, c_strategy
 from .sstep import CoordState, recover_iterates, _RunState
 from .trace import CgCoefficients, SolveTrace
@@ -93,8 +94,6 @@ def select_s_tilde(g, s_bar, c, eps, eps_star, r_norm):
     P-columns and first i R-columns. Size 1 is always accepted so the
     solver makes progress. Returns (s_tilde, per-size estimates).
     """
-    from .lacore import nested_basis_conds
-
     conds = nested_basis_conds(g, s_bar)
     bound = eps_star / (c * eps * r_norm)
     s_tilde = 1
@@ -166,7 +165,6 @@ def adaptive_solve(problem, cfg):
             y=block.y[:, cols],
             b_mat=b_t,
             g=block.g[np.ix_(cols, cols)],
-            cond_estimates=conds,
         )
         y_t, g_t = trunc.y, trunc.g
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lacore import gram, nested_basis_conds, spmv
+from .lacore import gram, spmv
 
 DEFAULT_LEJA_GRID = 10000
 
@@ -197,14 +197,13 @@ def assemble_change_of_basis(s, params):
 
 @dataclass
 class SStepBlock:
-    """One outer loop's basis: Y = [P | R], its change-of-basis matrix, the
-    Gram matrix, and condition estimates of the nested sub-bases."""
+    """One outer loop's basis: Y = [P | R], its change-of-basis matrix and
+    its Gram matrix."""
 
     s: int
     y: np.ndarray
     b_mat: np.ndarray
     g: np.ndarray
-    cond_estimates: np.ndarray
 
 
 def _recurrence_columns(a, v, degree, params):
@@ -228,21 +227,12 @@ def _recurrence_columns(a, v, degree, params):
 def build_block(a, p, r, params, s):
     """Construct the s-step block from current direction p and residual r.
 
-    P covers degrees 0..s, R degrees 0..s-1; the Gram matrix is computed
-    once; condition estimates cover every nested sub-basis so the adaptive
-    logic can consult them without further synchronization.
+    P covers degrees 0..s, R degrees 0..s-1; the Gram matrix, the block's
+    one global synchronization, is computed once.
     """
     if params.degree_capacity() < s:
         raise ParameterError(f"params cover degree {params.degree_capacity()}, need {s}")
     pcols = _recurrence_columns(a, p, s, params)
     rcols = _recurrence_columns(a, r, s - 1, params)
     y = np.hstack([pcols, rcols])
-    g = gram(y)
-    conds = nested_basis_conds(g, s)
-    return SStepBlock(
-        s=s,
-        y=y,
-        b_mat=assemble_change_of_basis(s, params),
-        g=g,
-        cond_estimates=conds,
-    )
+    return SStepBlock(s=s, y=y, b_mat=assemble_change_of_basis(s, params), g=gram(y))

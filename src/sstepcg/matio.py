@@ -53,12 +53,12 @@ class SparseMatrix:
         return self._csr
 
     def row_max(self):
-        """Largest stored entry in each row (signed)."""
+        """Largest stored entry in each row (signed); -inf for an empty row."""
         out = np.full(self.n, -np.inf)
-        for i in range(self.n):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            if hi > lo:
-                out[i] = self.values[lo:hi].max()
+        filled = np.diff(self.row_ptr) > 0
+        # empty rows hold no values, so the segment from one filled row's
+        # start to the next filled row's start is exactly that row
+        out[filled] = np.maximum.reduceat(self.values, self.row_ptr[:-1][filled])
         return out
 
     def to_dense(self):
@@ -231,13 +231,15 @@ def _power_iteration(matvec, n, iters, tol, seed=0):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = matvec(v)
     for it in range(1, iters + 1):
-        w = matvec(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0, it, True
         v = w / nw
-        new_lam = float(np.dot(v, matvec(v)))
+        # A v serves the Rayleigh quotient now and the next step's product
+        w = matvec(v)
+        new_lam = float(np.dot(v, w))
         if lam != 0.0 and abs(new_lam - lam) <= tol * abs(new_lam):
             return new_lam, it, True
         lam = new_lam

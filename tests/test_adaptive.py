@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import problem_from_dense, random_spd
+from sstepcg import lacore
 from sstepcg.adaptive import (
     AdaptiveConfig,
     adaptive_solve,
@@ -11,6 +14,7 @@ from sstepcg.adaptive import (
 from sstepcg.classic import hscg_solve
 from sstepcg.lacore import gram
 from sstepcg.ritz import MACHINE_UNIT
+from sstepcg.sstep import sstep_solve
 from sstepcg.trace import SolveTrace
 
 
@@ -158,6 +162,45 @@ class TestAdaptiveSolve:
             AdaptiveConfig(sigma=5, eps_star=1e-6, s_bar0=9)
         with pytest.raises(ValueError):
             AdaptiveConfig(sigma=5, eps_star=1e-6, variant="bogus")
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name at every binding inside the package, including names
+    imported into other modules; returns the list each call appends to."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "sstepcg" or mod_name.startswith("sstepcg."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestConditionEstimateCalls:
+    """The nested estimates cost one small eigensolve per candidate size, so
+    they run once per adaptive block and never in fixed s-step CG."""
+
+    def test_once_per_adaptive_outer_loop(self, monkeypatch):
+        calls = count_calls(monkeypatch, lacore, "nested_basis_conds")
+        prob = problem_from_dense(random_spd(50, 1e4, seed=44))
+        for variant in ("old", "improved"):
+            calls.clear()
+            cfg = AdaptiveConfig(sigma=6, eps_star=1e-10, basis_kind="chebyshev", variant=variant)
+            _, trace, _ = adaptive_solve(prob, cfg)
+            assert trace.total_outer > 1
+            assert len(calls) == len(trace.outer_records) == trace.total_outer
+
+    def test_never_in_fixed_sstep(self, monkeypatch):
+        calls = count_calls(monkeypatch, lacore, "nested_basis_conds")
+        _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
+        assert trace.total_outer > 1
+        assert calls == []
 
 
 class TestAttainedAccuracyReport:
