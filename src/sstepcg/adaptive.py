@@ -1,7 +1,9 @@
-"""Adaptive s-step CG, in the original and the improved formulation.
+"""The blocked CG engine: adaptive s-step CG, original and improved, with
+fixed s-step CG as the special case that pins the block at s.
 
-Both variants grow a trial block of size s_bar, compute its Gram matrix,
-and shrink to the largest s_tilde whose basis condition estimate satisfies
+The adaptive variants grow a trial block of size s_bar, compute its Gram
+matrix, and shrink to the largest s_tilde whose basis condition estimate
+satisfies
 
     kappa(Y_{k,s_tilde}) <= eps_star / (c * eps * ||r_m||),
 
@@ -12,6 +14,8 @@ estimate that the *next* iteration actually depends on, against the running
 maximum residual phi, with c refreshed every iteration from the Ritz state.
 After every outer loop past the first iteration, the improved variant
 regenerates the basis parameters from the current extremal Ritz estimates.
+Fixed s-step CG (`sstep.sstep_solve`) iterates on the monomial block of
+size s as built: no truncation, no break test and no parameter refresh.
 """
 
 from __future__ import annotations
@@ -21,17 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    BASIS_KINDS,
     BasisBreakdownError,
+    SStepBlock,
     assemble_change_of_basis,
     build_block,
-    monomial_params,
     params_for,
-    DEFAULT_LEJA_GRID,
 )
 from .lacore import nested_basis_conds
-from .ritz import MACHINE_UNIT, BreakdownSignal, RitzState, abs_matrix_norm, c_strategy
-from .sstep import CoordState, recover_iterates, _RunState
-from .trace import CgCoefficients, SolveTrace
+from .ritz import MACHINE_UNIT, RitzState, abs_matrix_norm, c_strategy
+from .trace import CgCoefficients, SolveTrace, _RunState
 
 
 @dataclass
@@ -39,9 +42,9 @@ class AdaptiveConfig:
     """Run controls for adaptive_solve.
 
     s_bar0 and f default to sigma (trial blocks start at full size; the
-    conservative initial c protects the first block). basis_kind applies to
-    the improved variant's dynamic updates; the original variant keeps its
-    initial parameters (monomial unless spectral_bounds are given).
+    conservative initial c protects the first block). Every run starts from
+    the monomial basis; basis_kind applies to the improved variant's dynamic
+    updates, and the original variant keeps the monomial parameters.
     """
 
     sigma: int
@@ -52,8 +55,6 @@ class AdaptiveConfig:
     c_strategy: str = "adaptive"
     variant: str = "improved"
     max_outer: int = 5000
-    leja_grid: int = DEFAULT_LEJA_GRID
-    spectral_bounds: tuple | None = None
 
     def __post_init__(self):
         if self.sigma < 1:
@@ -70,6 +71,8 @@ class AdaptiveConfig:
             raise ValueError("eps_star must be positive")
         if self.variant not in ("old", "improved"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.basis_kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {self.basis_kind!r}")
 
 
 @dataclass
@@ -79,12 +82,46 @@ class OuterLoopRecord:
     s_tilde: int
     s_actual: int
     phi: float
-    cond_used: np.ndarray
+    # nested condition estimates; None in fixed s-step, which computes none
+    cond_used: np.ndarray | None
     basis_params_used: object
     # inner-loop break bookkeeping: None when the block ran to completion
     break_j: int | None = None
     break_lhs: float = float("nan")
     break_rhs: float = float("nan")
+
+
+@dataclass
+class CoordState:
+    """Coordinates of (x - x_base, r, p) in the block basis.
+
+    Initially p' selects the first P-column, r' the first R-column, x' = 0.
+    """
+
+    xp: np.ndarray
+    rp: np.ndarray
+    pp: np.ndarray
+    j: int = 0
+
+    @classmethod
+    def initial(cls, s):
+        dim = 2 * s + 1
+        xp = np.zeros(dim)
+        rp = np.zeros(dim)
+        pp = np.zeros(dim)
+        pp[0] = 1.0
+        rp[s + 1] = 1.0
+        return cls(xp=xp, rp=rp, pp=pp)
+
+
+def recover_iterates(block, coords, x_base):
+    """Map coordinates back to length-n vectors: x includes the x_base shift."""
+    if len(coords.xp) != 2 * block.s + 1:
+        raise ValueError("coordinate length does not match block size")
+    x = x_base + block.y @ coords.xp
+    r = block.y @ coords.rp
+    p = block.y @ coords.pp
+    return x, r, p
 
 
 def select_s_tilde(g, s_bar, c, eps, eps_star, r_norm):
@@ -113,6 +150,16 @@ def adaptive_solve(problem, cfg):
     Returns (x, SolveTrace, CgCoefficients); per-outer-loop records are
     attached as trace.outer_records.
     """
+    return _blocked_solve(problem, cfg, fixed=False)
+
+
+def _blocked_solve(problem, cfg, fixed):
+    """The one outer and inner loop of the blocked solvers.
+
+    fixed=True is fixed s-step CG at s = cfg.sigma: the block is used as
+    built, with no truncation and no break test, and a monomial cfg skips
+    the parameter refresh.
+    """
     a, b = problem.a, problem.b
     nb = np.linalg.norm(b)
     nu = problem.norm_abs_a / problem.norm_a if problem.norm_a else 1.0
@@ -125,19 +172,19 @@ def adaptive_solve(problem, cfg):
     coeffs = CgCoefficients()
     ritz = RitzState()
     run = _RunState()
+    # no spectral interval is known yet: the monomial basis for every kind
+    params = params_for(cfg.basis_kind, cfg.sigma)
 
-    if cfg.variant == "old" or cfg.basis_kind == "monomial":
-        lo, hi = cfg.spectral_bounds if cfg.spectral_bounds else (None, None)
-        params = params_for(cfg.basis_kind, cfg.sigma, lo, hi, cfg.leja_grid)
-    else:
-        params = monomial_params(cfg.sigma)
+    def strategy_c(s_for_bound, b_for_bound):
+        if cfg.c_strategy != "full-bound":
+            return c_strategy(cfg.c_strategy, ritz)
+        tau = abs_matrix_norm(b_for_bound) / problem.norm_a
+        info = (s_for_bound, a.n_a, nu, tau, problem.kappa_a)
+        return c_strategy("full-bound", ritz, info)
 
     s_prev = None
     for k in range(cfg.max_outer):
-        true_rel = np.linalg.norm(b - a.as_csr() @ x) / nb
-        outcome = run.classify(trace, true_rel, cfg.eps_star, np.linalg.norm(r) / nb)
-        if outcome:
-            setattr(trace, outcome, True)
+        if run.stop(trace, np.linalg.norm(b - a.as_csr() @ x) / nb, cfg.eps_star, r, nb):
             break
         s_bar = cfg.s_bar0 if k == 0 else min(s_prev + cfg.f, cfg.sigma)
         try:
@@ -146,35 +193,30 @@ def adaptive_solve(problem, cfg):
             trace.diverged = True
             break
 
-        def strategy_c(s_for_bound, b_for_bound):
-            if cfg.c_strategy != "full-bound":
-                return c_strategy(cfg.c_strategy, ritz)
-            tau = abs_matrix_norm(b_for_bound) / problem.norm_a
-            info = (s_for_bound, a.n_a, nu, tau, problem.kappa_a)
-            return c_strategy("full-bound", ritz, info)
-
-        c_sel = strategy_c(s_bar, block.b_mat)
-        r_rel = np.linalg.norm(r) / nb
-        s_tilde, conds = select_s_tilde(
-            block.g, s_bar, c_sel, MACHINE_UNIT, cfg.eps_star, r_rel
-        )
-        cols = _truncate_block_columns(s_bar, s_tilde)
-        b_t = assemble_change_of_basis(s_tilde, params)
-        trunc = type(block)(
-            s=s_tilde,
-            y=block.y[:, cols],
-            b_mat=b_t,
-            g=block.g[np.ix_(cols, cols)],
-        )
-        y_t, g_t = trunc.y, trunc.g
+        if fixed:
+            s_tilde, conds, trunc = s_bar, None, block
+        else:
+            c_sel = strategy_c(s_bar, block.b_mat)
+            r_rel = np.linalg.norm(r) / nb
+            s_tilde, conds = select_s_tilde(
+                block.g, s_bar, c_sel, MACHINE_UNIT, cfg.eps_star, r_rel
+            )
+            cols = _truncate_block_columns(s_bar, s_tilde)
+            trunc = SStepBlock(
+                s=s_tilde,
+                y=block.y[:, cols],
+                b_mat=assemble_change_of_basis(s_tilde, params),
+                g=block.g[np.ix_(cols, cols)],
+            )
+            # fixed for this block; refreshed per iteration below only
+            # through the ritz-state strategies
+            c_block = strategy_c(s_tilde, trunc.b_mat)
+        g_t, b_t = trunc.g, trunc.b_mat
 
         coords = CoordState.initial(s_tilde)
         phi = np.sqrt(max(0.0, float(coords.rp @ (g_t @ coords.rp)))) / nb
-        c_block = strategy_c(s_tilde, b_t)  # fixed for this block; refreshed per
-        # iteration below only through the ritz-state strategies
 
         trace.mark_outer(s_tilde)
-        est_hit = False
         break_info = (None, float("nan"), float("nan"))
         for j in range(s_tilde):
             num = float(coords.rp @ (g_t @ coords.rp))
@@ -192,10 +234,7 @@ def adaptive_solve(problem, cfg):
             coords.j = j + 1
             coeffs.append(alpha, beta)
             if alpha > 0.0 and beta > 0.0 and np.isfinite(alpha) and np.isfinite(beta):
-                try:
-                    ritz.absorb_step(alpha, beta)
-                except BreakdownSignal:
-                    pass
+                ritz.absorb_step(alpha, beta)
 
             est_rel = np.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
@@ -214,8 +253,9 @@ def adaptive_solve(problem, cfg):
 
             # negative quadratures are Gram noise, not convergence
             if rr_new >= 0.0 and est_rel <= cfg.eps_star and j < s_tilde - 1:
-                est_hit = True
                 break
+            if fixed:
+                continue
             if cfg.variant == "improved":
                 c_now = c_block if cfg.c_strategy == "full-bound" else c_strategy(cfg.c_strategy, ritz)
                 threshold = cfg.eps_star / (c_now * MACHINE_UNIT * phi)
@@ -229,33 +269,18 @@ def adaptive_solve(problem, cfg):
                     break
         trace.s_schedule[-1] = coords.j
         trace.outer_records.append(
-            OuterLoopRecord(
-                k=k,
-                s_bar=s_bar,
-                s_tilde=s_tilde,
-                s_actual=coords.j,
-                phi=phi,
-                cond_used=conds,
-                basis_params_used=params,
-                break_j=break_info[0],
-                break_lhs=break_info[1],
-                break_rhs=break_info[2],
-            )
+            OuterLoopRecord(k, s_bar, s_tilde, coords.j, phi, conds, params, *break_info)
         )
         if trace.diverged:
             break
-        x = x + y_t @ coords.xp
-        r = y_t @ coords.rp
-        p = y_t @ coords.pp
+        x, r, p = recover_iterates(trunc, coords, x)
         s_prev = coords.j
 
         if cfg.variant == "improved" and cfg.basis_kind != "monomial":
             if trace.total_iters > 1 and ritz.count >= 2:
                 lmin, lmax = ritz.lambda_min, ritz.lambda_max
                 if 0.0 < lmin < lmax:
-                    params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax, cfg.leja_grid)
-        if est_hit and np.linalg.norm(b - a.as_csr() @ x) / nb > cfg.eps_star:
-            continue
+                    params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
 
     if not (trace.converged or trace.diverged or trace.stagnated):
         if np.linalg.norm(b - a.as_csr() @ x) / nb <= cfg.eps_star:

@@ -23,6 +23,8 @@ from .lacore import gram, spmv
 
 DEFAULT_LEJA_GRID = 10000
 
+BASIS_KINDS = ("monomial", "newton", "chebyshev")
+
 # Tolerance for treating grid objective values as tied (log scale); ties go
 # to the smaller shift.
 _LEJA_TIE_TOL = 1e-12
@@ -163,17 +165,16 @@ def chebyshev_params(lmin, lmax, s):
     )
 
 
-def params_for(kind, s, lmin=None, lmax=None, grid_points=DEFAULT_LEJA_GRID):
+def params_for(kind, s, lmin=None, lmax=None):
     """Dispatch on basis kind, falling back to monomial when the spectral
-    interval is degenerate (fewer than two distinct Ritz estimates)."""
+    interval is unknown or degenerate (fewer than two distinct Ritz
+    estimates)."""
+    if kind not in BASIS_KINDS:
+        raise ParameterError(f"unknown basis kind {kind!r}")
     if kind != "monomial" and lmin is not None and lmax is not None and 0.0 < lmin < lmax:
         if kind == "newton":
-            return newton_params(lmin, lmax, s, grid_points)
-        if kind == "chebyshev":
-            return chebyshev_params(lmin, lmax, s)
-        raise ParameterError(f"unknown basis kind {kind!r}")
-    if kind not in ("monomial", "newton", "chebyshev"):
-        raise ParameterError(f"unknown basis kind {kind!r}")
+            return newton_params(lmin, lmax, s)
+        return chebyshev_params(lmin, lmax, s)
     return monomial_params(s)
 
 

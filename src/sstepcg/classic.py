@@ -6,7 +6,7 @@ import numpy as np
 
 from .lacore import spmv
 from .ritz import RitzState, BreakdownSignal
-from .trace import CgCoefficients, SolveTrace, STAGNATION_WINDOW, DIVERGENCE_LIMIT
+from .trace import CgCoefficients, SolveTrace, _RunState
 
 
 def assemble_tridiag(coeffs, i):
@@ -50,24 +50,11 @@ def hscg_solve(problem, eps_star, max_iters=None):
     coeffs = CgCoefficients()
     ritz = RitzState()
 
-    best = np.inf
-    best_at = 0
+    run = _RunState()
     i = 0
     true_vec = b - spmv(a, x)
     while i < max_iters:
-        true_rel = np.linalg.norm(true_vec) / nb
-        if true_rel <= eps_star:
-            trace.converged = True
-            break
-        if not np.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
-            trace.diverged = True
-            break
-        if true_rel < best:
-            best, best_at = true_rel, i
-        elif i - best_at >= STAGNATION_WINDOW and np.linalg.norm(r) <= 0.01 * true_rel * nb:
-            # the floor signature: updated residual collapsed under the true
-            # one while the true minimum stopped improving
-            trace.stagnated = True
+        if run.stop(trace, np.linalg.norm(true_vec) / nb, eps_star, r, nb):
             break
 
         ap = spmv(a, p)

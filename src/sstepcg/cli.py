@@ -42,7 +42,6 @@ def _solve(args):
             c_strategy=args.c_strategy,
             variant="old" if args.alg == "adaptive-old" else "improved",
             max_outer=args.max_outer,
-            leja_grid=args.leja_grid,
         )
         _, trace, _ = adaptive_solve(problem, cfg)
     report = attained_accuracy_report(trace)
@@ -154,7 +153,6 @@ def main(argv=None):
                     default="adaptive")
     so.add_argument("--max-outer", type=int, default=5000)
     so.add_argument("--max-iters", type=int, default=None)
-    so.add_argument("--leja-grid", type=int, default=10000)
     so.add_argument("--trace-out", default=None)
     so.set_defaults(func=_solve)
 

@@ -110,18 +110,17 @@ class RitzState:
     """Running extremal Ritz estimates, psi, and the error-ratio constant c.
 
     psi tracks ||r||^2 / ||p||^2 through psi <- psi / (psi + beta). Once two
-    iterations have been absorbed, c is refreshed to
+    iterations have been absorbed, c is
 
         c = max(1, lambda_max * sqrt(psi / lambda_min)),
 
     the computable stand-in for ||A|| ||x - x_i|| / ||r_i||; before that it
-    stays at the conservative initial value 1/sqrt(machine unit).
+    is the conservative initial value 1/sqrt(machine unit).
     """
 
     lmax_est: LmaxEstimator = field(default_factory=LmaxEstimator)
     lmin_est: LminEstimator = field(default_factory=LminEstimator)
     psi: float = 1.0
-    c: float = MACHINE_UNIT ** -0.5
     count: int = 0
     _eta_next: float = 0.0
 
@@ -144,12 +143,13 @@ class RitzState:
         self._eta_next = sqrt(beta / alpha)
         self.psi = self.psi / (self.psi + beta)
         self.count += 1
-        if self.count > 1:
-            self.c = max(1.0, self.lambda_max * sqrt(self.psi / self.lambda_min))
 
     def current_c(self):
-        """c for the basis-size bound: the initial 1/sqrt(eps) until two steps absorbed."""
-        return self.c
+        """c for the basis-size bound: the initial 1/sqrt(eps) until two steps
+        are absorbed, the error-ratio estimate after that."""
+        if self.count < 2:
+            return MACHINE_UNIT ** -0.5
+        return self.xi_estimate()
 
     def xi_estimate(self):
         """Trace-facing error-ratio estimate; lies in [1, kappa(A)] for SPD systems."""

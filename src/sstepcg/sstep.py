@@ -1,174 +1,35 @@
-"""Fixed s-step CG: one basis and one Gram matrix per block of s iterations."""
+"""Fixed s-step CG: the blocked engine of `adaptive` with the block pinned at s.
+
+Per outer loop one monomial basis of 2s+1 columns and one Gram matrix carry
+s coordinate-space iterations. Unlike the adaptive variants there is no
+truncation, no break test and no refresh of the basis parameters.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .adaptive import AdaptiveConfig, CoordState, recover_iterates, _blocked_solve
 
-import numpy as np
-
-from .basis import BasisBreakdownError, build_block, params_for
-from .ritz import BreakdownSignal, RitzState
-from .trace import CgCoefficients, SolveTrace, STAGNATION_WINDOW, DIVERGENCE_LIMIT
+__all__ = ["CoordState", "recover_iterates", "sstep_solve"]
 
 
-@dataclass
-class CoordState:
-    """Coordinates of (x - x_base, r, p) in the block basis.
-
-    Initially p' selects the first P-column, r' the first R-column, x' = 0.
-    """
-
-    xp: np.ndarray
-    rp: np.ndarray
-    pp: np.ndarray
-    j: int = 0
-
-    @classmethod
-    def initial(cls, s):
-        dim = 2 * s + 1
-        xp = np.zeros(dim)
-        rp = np.zeros(dim)
-        pp = np.zeros(dim)
-        pp[0] = 1.0
-        rp[s + 1] = 1.0
-        return cls(xp=xp, rp=rp, pp=pp)
-
-
-def recover_iterates(block, coords, x_base):
-    """Map coordinates back to length-n vectors: x includes the x_base shift."""
-    if len(coords.xp) != 2 * block.s + 1:
-        raise ValueError("coordinate length does not match block size")
-    x = x_base + block.y @ coords.xp
-    r = block.y @ coords.rp
-    p = block.y @ coords.pp
-    return x, r, p
-
-
-class _RunState:
-    """Shared bookkeeping for the blocked solvers (stagnation, divergence).
-
-    Stagnation means the true residual has hit its attainable floor: no new
-    minimum inside the window AND the updated residual has collapsed well
-    below the true one (the residual-gap signature of the floor). Mid-run
-    plateaus where both residuals still agree -- routine in delayed s-step
-    convergence -- must keep iterating.
-    """
-
-    def __init__(self):
-        self.best = np.inf
-        self.best_iter = 0
-
-    def classify(self, trace, true_rel, eps_star, upd_rel=None):
-        """Returns 'converged' | 'diverged' | 'stagnated' | None."""
-        if true_rel <= eps_star:
-            return "converged"
-        if not np.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
-            return "diverged"
-        if true_rel < self.best:
-            self.best = true_rel
-            self.best_iter = trace.total_iters
-        elif (
-            trace.total_iters - self.best_iter >= STAGNATION_WINDOW
-            and upd_rel is not None
-            and upd_rel <= 0.01 * true_rel
-        ):
-            return "stagnated"
-        return None
-
-
-def sstep_solve(problem, s, eps_star, max_outer=None, params=None, basis_kind="monomial",
-                spectral_bounds=None):
-    """Fixed s-step CG (monomial basis by default).
+def sstep_solve(problem, s, eps_star, max_outer=None):
+    """Fixed s-step CG with the monomial basis.
 
     Per outer loop: build the 2s+1 column basis from the current (p, r),
     form the Gram matrix, run s coordinate-space inner iterations with
     Gram-based alpha/beta, then recover the iterates. Convergence is
     declared on the true residual at outer boundaries; inside a block the
     Gram-estimated residual can end the block early, subject to
-    confirmation against the true residual after recovery.
+    confirmation against the true residual at the next boundary. A run
+    that exhausts max_outer (default 100 n / s) ends stagnated. Raises
+    ValueError for s < 1 or eps_star <= 0.
 
-    Returns (x, SolveTrace, CgCoefficients).
+    Returns (x, SolveTrace, CgCoefficients); one OuterLoopRecord per outer
+    loop is attached as trace.outer_records.
     """
-    a, b = problem.a, problem.b
     if s < 1:
         raise ValueError("s must be >= 1")
     if max_outer is None:
-        max_outer = max(1, (100 * a.n) // s)
-    if params is None:
-        lo, hi = spectral_bounds if spectral_bounds else (None, None)
-        params = params_for(basis_kind, s, lo, hi)
-    nb = np.linalg.norm(b)
-    x = problem.x0.copy()
-    r = b - problem.a.as_csr() @ x
-    p = r.copy()
-
-    trace = SolveTrace()
-    coeffs = CgCoefficients()
-    ritz = RitzState()
-    run = _RunState()
-
-    for _ in range(max_outer):
-        true_rel = np.linalg.norm(b - a.as_csr() @ x) / nb
-        outcome = run.classify(trace, true_rel, eps_star, np.linalg.norm(r) / nb)
-        if outcome:
-            setattr(trace, outcome, True)
-            break
-        try:
-            block = build_block(a, p, r, params, s)
-        except BasisBreakdownError:
-            trace.diverged = True
-            break
-        coords = CoordState.initial(s)
-        g, b_mat = block.g, block.b_mat
-        trace.mark_outer(s)
-        est_hit = False
-        for j in range(s):
-            num = float(coords.rp @ (g @ coords.rp))
-            denom = float(coords.pp @ (g @ (b_mat @ coords.pp)))
-            if denom <= 0.0 or num < 0.0 or not np.isfinite(denom) or not np.isfinite(num):
-                trace.diverged = True
-                break
-            alpha = num / denom
-            qp = alpha * coords.pp
-            coords.xp = coords.xp + qp
-            coords.rp = coords.rp - b_mat @ qp
-            rr_new = float(coords.rp @ (g @ coords.rp))
-            beta = rr_new / num
-            coords.pp = coords.rp + beta * coords.pp
-            coords.j = j + 1
-            coeffs.append(alpha, beta)
-            try:
-                ritz.absorb_step(alpha, beta)
-            except BreakdownSignal:
-                pass
-
-            x_j, r_j, _ = recover_iterates(block, coords, x)
-            tv = b - a.as_csr() @ x_j
-            trace.record_iteration(
-                np.linalg.norm(tv) / nb,
-                np.linalg.norm(r_j) / nb,
-                np.linalg.norm(tv - r_j),
-                ritz.xi_estimate(),
-                ritz.lambda_min,
-                ritz.lambda_max,
-                ritz.psi,
-            )
-            est_rel = np.sqrt(max(0.0, rr_new)) / nb
-            # negative quadratures are Gram noise, not convergence
-            if rr_new >= 0.0 and est_rel <= eps_star and j < s - 1:
-                est_hit = True
-                break
-        # correct the provisional schedule entry if the block ended early
-        trace.s_schedule[-1] = coords.j
-        if trace.diverged:
-            break
-        x, r, p = recover_iterates(block, coords, x)
-        if est_hit and np.linalg.norm(b - a.as_csr() @ x) / nb > eps_star:
-            continue
-
-    if not (trace.converged or trace.diverged or trace.stagnated):
-        final_rel = np.linalg.norm(b - a.as_csr() @ x) / nb
-        if final_rel <= eps_star:
-            trace.converged = True
-    trace.check_consistency()
-    return x, trace, coeffs
+        max_outer = max(1, (100 * problem.a.n) // s)
+    cfg = AdaptiveConfig(sigma=s, eps_star=eps_star, basis_kind="monomial", max_outer=max_outer)
+    return _blocked_solve(problem, cfg, fixed=True)

@@ -1,4 +1,4 @@
-"""Per-iteration solve records shared by all solver variants."""
+"""Per-iteration solve records and the run control shared by all solvers."""
 
 from __future__ import annotations
 
@@ -84,3 +84,37 @@ class SolveTrace:
 # Shared run-control defaults.
 STAGNATION_WINDOW = 200
 DIVERGENCE_LIMIT = 1e5
+
+
+class _RunState:
+    """Stopping rules for every solver: convergence, divergence, stagnation.
+
+    The classic and the blocked solvers consult it with the true residual
+    (relative to ||b||) before each step. Stagnation means the true residual
+    has hit its attainable floor: no new minimum inside the window AND the
+    updated residual r has collapsed well below the true one (the
+    residual-gap signature of the floor). Mid-run plateaus where both
+    residuals still agree -- routine in delayed s-step convergence -- must
+    keep iterating.
+    """
+
+    def __init__(self):
+        self.best = np.inf
+        self.best_iter = 0
+
+    def stop(self, trace, true_rel, eps_star, r, nb):
+        """True when the run must stop; sets the trace's converged, diverged
+        or stagnated flag accordingly."""
+        if true_rel <= eps_star:
+            trace.converged = True
+        elif not np.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
+            trace.diverged = True
+        elif true_rel < self.best:
+            self.best = true_rel
+            self.best_iter = trace.total_iters
+        elif (
+            trace.total_iters - self.best_iter >= STAGNATION_WINDOW
+            and np.linalg.norm(r) / nb <= 0.01 * true_rel
+        ):
+            trace.stagnated = True
+        return trace.converged or trace.diverged or trace.stagnated

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ def random_spd(n, kappa, seed):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.geomspace(1.0, kappa, n)
     return (q * eigs) @ q.T
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name at every binding inside the package, including names
+    imported into other modules; returns the list each call appends to."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "sstepcg" or mod_name.startswith("sstepcg."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
-from conftest import problem_from_dense, random_spd
+from conftest import count_calls, problem_from_dense, random_spd
 from sstepcg import lacore
 from sstepcg.adaptive import (
     AdaptiveConfig,
@@ -163,23 +161,11 @@ class TestAdaptiveSolve:
         with pytest.raises(ValueError):
             AdaptiveConfig(sigma=5, eps_star=1e-6, variant="bogus")
 
-
-def count_calls(monkeypatch, module, name):
-    """Wrap module.name at every binding inside the package, including names
-    imported into other modules; returns the list each call appends to."""
-    orig = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "sstepcg" or mod_name.startswith("sstepcg."):
-            for attr, val in list(vars(mod).items()):
-                if val is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+    def test_rejects_unknown_basis_kind(self):
+        with pytest.raises(ValueError, match="basis kind"):
+            AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind="legendre")
+        for kind in ("monomial", "newton", "chebyshev"):
+            assert AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind=kind).basis_kind == kind
 
 
 class TestConditionEstimateCalls:

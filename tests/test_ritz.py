@@ -101,8 +101,7 @@ class TestCurrentC:
         st.lmax_est.omega = 2.0
         st.lmin_est.omega = 1.0 / 0.5
         st.psi = 0.125
-        st.c = max(1.0, st.lambda_max * np.sqrt(st.psi / st.lambda_min))
-        assert st.c == 1.0
+        assert st.current_c() == 1.0
 
     def test_ratio_form(self):
         st = RitzState()
@@ -111,8 +110,7 @@ class TestCurrentC:
         st.lmax_est.omega = 1e4
         st.lmin_est.omega = 1.0
         st.psi = 1.0
-        st.c = max(1.0, st.lambda_max * np.sqrt(st.psi / st.lambda_min))
-        assert st.c == pytest.approx(1e4)
+        assert st.current_c() == pytest.approx(1e4)
 
     def test_psi_tracks_residual_direction_ratio(self):
         # psi == ||r||^2/||p||^2 through the first 20 iterations (replayed)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import dense_to_sparse, problem_from_dense, random_spd
+from conftest import count_calls, dense_to_sparse, problem_from_dense, random_spd
+from sstepcg import basis
+from sstepcg.adaptive import attained_accuracy_report
 from sstepcg.basis import build_block, monomial_params
 from sstepcg.classic import hscg_solve
 from sstepcg.sstep import CoordState, recover_iterates, sstep_solve
@@ -135,3 +137,42 @@ class TestSstepSolve:
         _, trace, _ = sstep_solve(bus494_problem, 5, 1e-6)
         trace.check_consistency()
         assert trace.converged
+
+
+class TestFixedPolicy:
+    """Fixed s-step runs through the adaptive engine with the block pinned at s."""
+
+    def test_one_untruncated_record_per_outer_loop(self):
+        prob = problem_from_dense(random_spd(50, 1e3, seed=38))
+        _, trace, _ = sstep_solve(prob, 4, 1e-10)
+        assert trace.converged and trace.total_outer > 1
+        recs = trace.outer_records
+        assert len(recs) == trace.total_outer
+        assert [rec.k for rec in recs] == list(range(trace.total_outer))
+        assert [rec.s_actual for rec in recs] == trace.s_schedule
+        for rec in recs:
+            assert rec.s_bar == rec.s_tilde == 4
+            assert rec.break_j is None
+            assert rec.cond_used is None
+
+    def test_budget_exhausted_ends_stagnated(self):
+        prob = problem_from_dense(random_spd(50, 1e3, seed=39))
+        _, trace, _ = sstep_solve(prob, 3, 1e-12, max_outer=2)
+        assert trace.total_outer == 2
+        assert trace.stagnated and not (trace.converged or trace.diverged)
+        rep = attained_accuracy_report(trace)
+        assert rep.outcome == "stagnated"
+        assert rep.cell == f"– [{trace.min_true_resid:.1e}]"
+
+    def test_params_built_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, basis, "params_for")
+        _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
+        assert trace.total_outer > 1
+        assert calls == [("monomial", 4)]
+
+    def test_rejects_bad_arguments(self):
+        prob = problem_from_dense(np.eye(5))
+        with pytest.raises(ValueError):
+            sstep_solve(prob, 0, 1e-6)
+        with pytest.raises(ValueError):
+            sstep_solve(prob, 2, 0.0)
