@@ -16,6 +16,13 @@ After every outer loop past the first iteration, the improved variant
 regenerates the basis parameters from the current extremal Ritz estimates.
 Fixed s-step CG (`sstep.sstep_solve`) iterates on the monomial block of
 size s as built: no truncation, no break test and no parameter refresh.
+
+Each solve allocates one basis buffer and one work buffer of
+(2 sigma + 1) n entries. Every block is built row-major into the first; an
+untruncated adaptive block is iterated on in place, a truncated one is
+gathered into the work buffer, and fixed s-step iterates on a C-ordered copy
+there. The per-iteration trace maps back only x and r; `recover_iterates`
+runs once per outer loop.
 """
 
 from __future__ import annotations
@@ -167,6 +174,11 @@ def _blocked_solve(problem, cfg, fixed):
     x = problem.x0.copy()
     r = b - a.as_csr() @ x
     p = r.copy()
+    # One basis buffer and one work buffer per solve, flat so that the
+    # leading (2s+1) n entries form a contiguous (2s+1, n) array for every
+    # s <= sigma, and the loop below allocates no n x (2s+1) array.
+    basis_buf = np.empty((2 * cfg.sigma + 1) * a.n)
+    work_buf = np.empty_like(basis_buf)
 
     trace = SolveTrace()
     coeffs = CgCoefficients()
@@ -188,26 +200,40 @@ def _blocked_solve(problem, cfg, fixed):
             break
         s_bar = cfg.s_bar0 if k == 0 else min(s_prev + cfg.f, cfg.sigma)
         try:
-            block = build_block(a, p, r, params, s_bar)
+            block = build_block(a, p, r, params, s_bar, out=basis_buf)
         except BasisBreakdownError:
             trace.diverged = True
             break
 
+        # A GEMV on a C-ordered Y and one on an F-ordered Y of the same
+        # values round differently, so each path keeps the layout it has
+        # always iterated on: fixed s-step a C-ordered copy of the block,
+        # the adaptive variants the F-ordered block (whole, or its kept
+        # rows gathered, as y[:, cols] would be).
         if fixed:
-            s_tilde, conds, trunc = s_bar, None, block
+            s_tilde, conds = s_bar, None
+            y_c = work_buf[: block.y.size].reshape(block.y.shape)
+            y_c[...] = block.y
+            trunc = SStepBlock(s=s_bar, y=y_c, b_mat=block.b_mat, g=block.g)
         else:
             c_sel = strategy_c(s_bar, block.b_mat)
             r_rel = np.linalg.norm(r) / nb
             s_tilde, conds = select_s_tilde(
                 block.g, s_bar, c_sel, MACHINE_UNIT, cfg.eps_star, r_rel
             )
-            cols = _truncate_block_columns(s_bar, s_tilde)
-            trunc = SStepBlock(
-                s=s_tilde,
-                y=block.y[:, cols],
-                b_mat=assemble_change_of_basis(s_tilde, params),
-                g=block.g[np.ix_(cols, cols)],
-            )
+            if s_tilde == s_bar:
+                trunc = block
+            else:
+                cols = _truncate_block_columns(s_bar, s_tilde)
+                rows = work_buf[: len(cols) * a.n].reshape(len(cols), a.n)
+                # cols are in range; mode "raise" would buffer a copy of out
+                np.take(block.y.T, cols, axis=0, out=rows, mode="clip")
+                trunc = SStepBlock(
+                    s=s_tilde,
+                    y=rows.T,
+                    b_mat=assemble_change_of_basis(s_tilde, params),
+                    g=block.g[np.ix_(cols, cols)],
+                )
             # fixed for this block; refreshed per iteration below only
             # through the ritz-state strategies
             c_block = strategy_c(s_tilde, trunc.b_mat)
@@ -239,7 +265,9 @@ def _blocked_solve(problem, cfg, fixed):
             est_rel = np.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
 
-            x_j, r_j, _ = recover_iterates(trunc, coords, x)
+            # the trace needs x_j and r_j only; p waits for the outer boundary
+            x_j = x + trunc.y @ coords.xp
+            r_j = trunc.y @ coords.rp
             tv = b - a.as_csr() @ x_j
             trace.record_iteration(
                 np.linalg.norm(tv) / nb,
@@ -282,11 +310,8 @@ def _blocked_solve(problem, cfg, fixed):
                 if 0.0 < lmin < lmax:
                     params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
 
-    if not (trace.converged or trace.diverged or trace.stagnated):
-        if np.linalg.norm(b - a.as_csr() @ x) / nb <= cfg.eps_star:
-            trace.converged = True
-        else:
-            trace.stagnated = True
+    if not trace.ended:
+        run.out_of_budget(trace, np.linalg.norm(b - a.as_csr() @ x) / nb, cfg.eps_star)
     trace.check_consistency()
     return x, trace, coeffs
 

@@ -199,7 +199,16 @@ def assemble_change_of_basis(s, params):
 @dataclass
 class SStepBlock:
     """One outer loop's basis: Y = [P | R], its change-of-basis matrix and
-    its Gram matrix."""
+    its Gram matrix.
+
+    As built, y is the transpose of a C-ordered (2s+1, n) array whose rows
+    are the basis vectors, so y is an F-ordered n x (2s+1) view. The Gram
+    product is bitwise the same on either layout, but a GEMV such as
+    y @ coords is not. The adaptive variants have always iterated on an
+    F-ordered Y (the gathered y[:, cols]), so they use this y in place;
+    fixed s-step has always iterated on a C-ordered Y, so the engine hands
+    it a C-ordered copy (see `adaptive._blocked_solve`).
+    """
 
     s: int
     y: np.ndarray
@@ -207,33 +216,41 @@ class SStepBlock:
     g: np.ndarray
 
 
-def _recurrence_columns(a, v, degree, params):
-    cols = np.empty((len(v), degree + 1))
-    cols[:, 0] = v
-    prev2 = None
-    prev = v
-    for l in range(degree):
-        w = spmv(a, prev) - params.thetas[l] * prev
+def _recurrence_rows(a, v, rows, params):
+    """rows[l] = rho_l(A) v for l = 0..len(rows) - 1, each written in place.
+
+    Each step applies the operations of ((A w - theta w) - mu w_prev) / gamma
+    in that order, in place, so the row is bitwise that expression's value.
+    """
+    rows[0] = v
+    for l in range(len(rows) - 1):
+        w = rows[l + 1]
+        av = spmv(a, rows[l])
+        np.multiply(rows[l], params.thetas[l], out=w)
+        np.subtract(av, w, out=w)
         if l >= 1 and params.mus[l - 1] != 0.0:
-            w = w - params.mus[l - 1] * prev2
-        w = w / params.gammas[l]
+            np.multiply(rows[l - 1], params.mus[l - 1], out=av)
+            np.subtract(w, av, out=w)
+        np.divide(w, params.gammas[l], out=w)
         if not np.all(np.isfinite(w)):
             raise BasisBreakdownError(f"non-finite basis column at degree {l + 1}")
-        cols[:, l + 1] = w
-        prev2 = prev
-        prev = w
-    return cols
 
 
-def build_block(a, p, r, params, s):
+def build_block(a, p, r, params, s, out=None):
     """Construct the s-step block from current direction p and residual r.
 
     P covers degrees 0..s, R degrees 0..s-1; the Gram matrix, the block's
-    one global synchronization, is computed once.
+    one global synchronization, is computed once. The 2s+1 basis vectors are
+    written as contiguous rows of one (2s+1, n) array: the leading
+    (2s+1) n entries of the flat buffer `out` when one is given (the engine
+    passes one per solve, sized for sigma), a new array otherwise. The
+    block's y is that array's transpose, with no copy.
     """
     if params.degree_capacity() < s:
         raise ParameterError(f"params cover degree {params.degree_capacity()}, need {s}")
-    pcols = _recurrence_columns(a, p, s, params)
-    rcols = _recurrence_columns(a, r, s - 1, params)
-    y = np.hstack([pcols, rcols])
+    size = (2 * s + 1) * len(p)
+    rows = (np.empty(size) if out is None else out[:size]).reshape(2 * s + 1, len(p))
+    _recurrence_rows(a, p, rows[: s + 1], params)
+    _recurrence_rows(a, r, rows[s + 1 :], params)
+    y = rows.T
     return SStepBlock(s=s, y=y, b_mat=assemble_change_of_basis(s, params), g=gram(y))

@@ -35,7 +35,9 @@ def hscg_solve(problem, eps_star, max_iters=None):
 
     The true residual b - A x_i is recomputed every iteration at this scale.
     Breakdown (p^T A p <= 0) and NaN are recorded as divergence on the trace
-    rather than raised, so experiment grids keep running.
+    rather than raised, so experiment grids keep running. A run that
+    exhausts max_iters (default 100 n) ends stagnated, or converged if its
+    last true residual passes, as the blocked solvers do.
 
     Returns (x, SolveTrace, CgCoefficients).
     """
@@ -88,6 +90,8 @@ def hscg_solve(problem, eps_star, max_iters=None):
             ritz.lambda_max,
             ritz.psi,
         )
+    if not trace.ended:
+        run.out_of_budget(trace, np.linalg.norm(true_vec) / nb, eps_star)
     return x, trace, coeffs
 
 

@@ -8,6 +8,8 @@ principal submatrices.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -78,17 +80,34 @@ def gram_cond_estimate(g, cols):
     return _cond_from_eigvals(w)
 
 
+@functools.cache
+def _nested_index(s_bar):
+    """np.ix_ gathers of the nested Gram submatrices, built once per s_bar.
+
+    Entry i (1..s_bar) selects P-columns 0..i and R-columns 0..i-1 of
+    [P | R]. The arrays are read-only: every caller shares them.
+    """
+    index = [None]
+    for i in range(1, s_bar + 1):
+        cols = np.r_[0 : i + 1, s_bar + 1 : s_bar + 1 + i]
+        cols.setflags(write=False)
+        index.append(np.ix_(cols, cols))
+    return tuple(index)
+
+
 def nested_basis_conds(g, s_bar):
     """kappa estimates for the nested bases Y_{k,i}, i = 1..s_bar.
 
     The Gram matrix g is over [P | R] with s_bar+1 P-columns followed by
     s_bar R-columns; Y_{k,i} uses P-columns 0..i and R-columns 0..i-1.
     Index 0 of the returned array is unused (kept NaN) so conds[i] matches i.
+    Each submatrix is gathered in its natural column order: permuting g so
+    that the nested bases became leading blocks would change LAPACK's
+    rounding.
     """
     g = np.asarray(g, dtype=float)
     conds = np.full(s_bar + 1, np.nan)
+    index = _nested_index(s_bar)
     for i in range(1, s_bar + 1):
-        cols = list(range(0, i + 1)) + list(range(s_bar + 1, s_bar + 1 + i))
-        sub = g[np.ix_(cols, cols)]
-        conds[i] = _cond_from_eigvals(np.linalg.eigvalsh(sub))
+        conds[i] = _cond_from_eigvals(np.linalg.eigvalsh(g[index[i]]))
     return conds

@@ -64,6 +64,11 @@ class SolveTrace:
         self.total_outer += 1
 
     @property
+    def ended(self):
+        """True once a stopping rule has set one of the three outcome flags."""
+        return self.converged or self.diverged or self.stagnated
+
+    @property
     def final_true_resid(self):
         return self.true_resid[-1] if self.true_resid else np.inf
 
@@ -90,7 +95,8 @@ class _RunState:
     """Stopping rules for every solver: convergence, divergence, stagnation.
 
     The classic and the blocked solvers consult it with the true residual
-    (relative to ||b||) before each step. Stagnation means the true residual
+    (relative to ||b||) before each step, and call out_of_budget when their
+    iteration budget runs out first. Stagnation means the true residual
     has hit its attainable floor: no new minimum inside the window AND the
     updated residual r has collapsed well below the true one (the
     residual-gap signature of the floor). Mid-run plateaus where both
@@ -117,4 +123,12 @@ class _RunState:
             and np.linalg.norm(r) / nb <= 0.01 * true_rel
         ):
             trace.stagnated = True
-        return trace.converged or trace.diverged or trace.stagnated
+        return trace.ended
+
+    def out_of_budget(self, trace, true_rel, eps_star):
+        """End a run that used up its iteration budget without stopping:
+        converged if its true residual passes, stagnated otherwise."""
+        if true_rel <= eps_star:
+            trace.converged = True
+        else:
+            trace.stagnated = True

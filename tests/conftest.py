@@ -55,6 +55,32 @@ def random_spd(n, kappa, seed):
     return (q * eigs) @ q.T
 
 
+def laplacian_2d_problem(m):
+    """5-point Laplacian on an m x m grid, built with from_coo, with its
+    closed-form norms: eigenvalues 4 sin^2(i pi / 2(m+1)) + 4 sin^2(j pi / 2(m+1))."""
+    idx = np.arange(m * m).reshape(m, m)
+    rows = [idx.ravel()]
+    cols = [idx.ravel()]
+    vals = [np.full(m * m, 4.0)]
+    for u, v in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+        rows += [u.ravel(), v.ravel()]
+        cols += [v.ravel(), u.ravel()]
+        vals += [np.full(u.size, -1.0)] * 2
+    a = from_coo(m * m, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    h = np.pi / (2 * (m + 1))
+    lmin = 8.0 * np.sin(h) ** 2
+    lmax = 8.0 * np.sin(m * h) ** 2
+    return ProblemInstance(
+        a=a,
+        b=build_rhs(a.n),
+        x0=np.zeros(a.n),
+        norm_a=lmax,
+        norm_abs_a=4.0 + 4.0 * np.cos(2 * h),
+        kappa_a=lmax / lmin,
+        label=f"laplace{m}",
+    )
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name at every binding inside the package, including names
     imported into other modules; returns the list each call appends to."""

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import count_calls, problem_from_dense, random_spd
-from sstepcg import lacore
+from conftest import count_calls, laplacian_2d_problem, problem_from_dense, random_spd
+from sstepcg import adaptive, lacore
 from sstepcg.adaptive import (
     AdaptiveConfig,
     adaptive_solve,
@@ -187,6 +189,53 @@ class TestConditionEstimateCalls:
         _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
         assert trace.total_outer > 1
         assert calls == []
+
+
+class TestBasisWorkspace:
+    """Each solve owns one basis buffer and one work buffer of (2 sigma + 1) n
+    entries; the loop allocates no n x (2s+1) array and maps back to length-n
+    iterates only at outer-loop boundaries."""
+
+    SIGMA = 10
+
+    @pytest.fixture(scope="class")
+    def laplace(self):
+        return laplacian_2d_problem(128)
+
+    @pytest.mark.parametrize("alg", ["adaptive", "sstep"])
+    def test_peak_memory_within_three_bases(self, laplace, alg):
+        unit = laplace.a.n * (2 * self.SIGMA + 1) * 8
+        if alg == "adaptive":
+            cfg = AdaptiveConfig(sigma=self.SIGMA, eps_star=1e-6, basis_kind="chebyshev", max_outer=6)
+            solve = lambda: adaptive_solve(laplace, cfg)
+        else:
+            solve = lambda: sstep_solve(laplace, self.SIGMA, 1e-6, max_outer=6)
+        tracemalloc.start()
+        try:
+            _, trace, _ = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.total_outer == 6
+        if alg == "adaptive":
+            # both the in-place and the gathered (truncated) block ran
+            truncated = [rec.s_tilde < rec.s_bar for rec in trace.outer_records]
+            assert any(truncated) and not all(truncated)
+        assert peak <= 3 * unit, f"peak {peak / unit:.2f} bases"
+
+    def test_recover_once_per_outer_loop(self, monkeypatch):
+        calls = count_calls(monkeypatch, adaptive, "recover_iterates")
+        prob = problem_from_dense(random_spd(50, 1e4, seed=44))
+        for variant in ("old", "improved"):
+            calls.clear()
+            cfg = AdaptiveConfig(sigma=6, eps_star=1e-10, basis_kind="chebyshev", variant=variant)
+            _, trace, _ = adaptive_solve(prob, cfg)
+            assert trace.converged and trace.total_iters > trace.total_outer > 1
+            assert len(calls) == trace.total_outer
+        calls.clear()
+        _, trace, _ = sstep_solve(prob, 4, 1e-10)
+        assert trace.converged and trace.total_iters > trace.total_outer > 1
+        assert len(calls) == trace.total_outer
 
 
 class TestAttainedAccuracyReport:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import dense_to_sparse, random_spd
 from sstepcg.basis import (
+    BasisBreakdownError,
     ParameterError,
     assemble_change_of_basis,
     build_block,
@@ -13,6 +14,7 @@ from sstepcg.basis import (
     params_for,
 )
 from sstepcg.classic import hscg_solve
+from sstepcg.lacore import gram, spmv
 from sstepcg.ritz import RitzState
 
 EPS = np.finfo(float).eps
@@ -226,3 +228,59 @@ class TestBuildBlock:
         assert p.kind == "monomial"
         p = params_for("chebyshev", 4, None, None)
         assert p.kind == "monomial"
+
+
+def reference_block(a, p, r, params, s):
+    """The column-wise construction: each recurrence column written into a
+    C-ordered n x (degree+1) array, P and R joined by hstack, then gram."""
+
+    def columns(v, degree):
+        cols = np.empty((len(v), degree + 1))
+        cols[:, 0] = v
+        prev2 = None
+        prev = v
+        for l in range(degree):
+            w = spmv(a, prev) - params.thetas[l] * prev
+            if l >= 1 and params.mus[l - 1] != 0.0:
+                w = w - params.mus[l - 1] * prev2
+            w = w / params.gammas[l]
+            cols[:, l + 1] = w
+            prev2 = prev
+            prev = w
+        return cols
+
+    y = np.hstack([columns(p, s), columns(r, s - 1)])
+    return y, gram(y)
+
+
+class TestBuildBlockBits:
+    """The row-major in-place build is bitwise the column-wise one."""
+
+    @pytest.mark.parametrize("kind", ["monomial", "newton", "chebyshev"])
+    @pytest.mark.parametrize("s", [1, 2, 5, 10])
+    def test_equals_columnwise_reference(self, kind, s):
+        rng = np.random.default_rng(60 + s)
+        n = 237
+        a = dense_to_sparse(random_spd(n, 1e3, seed=61))
+        p = rng.standard_normal(n)
+        r = rng.standard_normal(n)
+        params = params_for(kind, s, 1e-3, 1.0)
+        y_ref, g_ref = reference_block(a, p, r, params, s)
+        block = build_block(a, p, r, params, s)
+        np.testing.assert_array_equal(block.y, y_ref)
+        np.testing.assert_array_equal(block.g, g_ref)
+        # written into a larger per-solve buffer: same bits, no copy
+        buf = np.full((2 * 12 + 1) * n, np.nan)
+        in_buf = build_block(a, p, r, params, s, out=buf)
+        np.testing.assert_array_equal(in_buf.y, y_ref)
+        np.testing.assert_array_equal(in_buf.g, g_ref)
+        assert in_buf.y.flags.f_contiguous
+        assert np.shares_memory(in_buf.y, buf)
+
+    def test_non_finite_column_raises(self):
+        a = dense_to_sparse(np.diag([1.0, 1e300, 2.0]))
+        v = np.ones(3)
+        with pytest.raises(BasisBreakdownError, match="degree 2"):
+            build_block(a, v, v, monomial_params(3), 3)
+        with pytest.raises(BasisBreakdownError):
+            build_block(a, v, v, monomial_params(3), 3, out=np.empty(7 * 3))

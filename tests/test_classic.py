@@ -62,6 +62,20 @@ class TestHscgSolve:
             assert np.all(gap <= bound)
 
 
+class TestHscgBudget:
+    def test_budget_exhausted_ends_stagnated(self):
+        prob = problem_from_dense(random_spd(50, 1e3, seed=39))
+        _, trace, _ = hscg_solve(prob, 1e-12, max_iters=5)
+        assert trace.total_iters == 5
+        assert trace.stagnated and not (trace.converged or trace.diverged)
+
+    def test_budget_exhausted_at_target_ends_converged(self):
+        prob = problem_from_dense(np.diag([1.0, 2.0, 3.0]))
+        _, trace, _ = hscg_solve(prob, 1e-10, max_iters=3)
+        assert trace.total_iters == 3
+        assert trace.converged and not (trace.stagnated or trace.diverged)
+
+
 class TestAssembleTridiag:
     def test_order_one(self):
         t = assemble_tridiag(CgCoefficients([1.0], [0.5]), 1)

@@ -200,3 +200,17 @@ class TestGramCondEstimate:
         for i in range(1, s_bar + 1):
             cols = list(range(0, i + 1)) + list(range(s_bar + 1, s_bar + 1 + i))
             assert conds[i] == gram_cond_estimate(g, cols)
+
+    def test_equals_list_built_gathers(self):
+        rng = np.random.default_rng(13)
+        for s_bar in (1, 3, 10):
+            y = rng.standard_normal((90, 2 * s_bar + 1))
+            g = gram(y)
+            ref = [np.nan]
+            for i in range(1, s_bar + 1):
+                cols = list(range(0, i + 1)) + list(range(s_bar + 1, s_bar + 1 + i))
+                w = np.linalg.eigvalsh(g[np.ix_(cols, cols)])
+                ref.append(np.sqrt(w[-1] / np.abs(w).min()))
+            # twice: the second call reuses the cached index sets
+            for _ in range(2):
+                np.testing.assert_array_equal(nested_basis_conds(g, s_bar), ref)
