@@ -13,7 +13,7 @@ the newest residual estimate; the improved variant consults the nested
 estimate that the *next* iteration actually depends on, against the running
 maximum residual phi, with c refreshed every iteration from the Ritz state.
 After every outer loop past the first iteration, the improved variant
-regenerates the basis parameters from the current extremal Ritz estimates.
+regenerates the basis parameters from the extremal Ritz estimates if they moved.
 Fixed s-step CG (`sstep.sstep_solve`) iterates on the monomial block of
 size s as built: no truncation, no break test and no parameter refresh.
 
@@ -307,7 +307,8 @@ def _blocked_solve(problem, cfg, fixed):
         if cfg.variant == "improved" and cfg.basis_kind != "monomial":
             if trace.total_iters > 1 and ritz.count >= 2:
                 lmin, lmax = ritz.lambda_min, ritz.lambda_max
-                if 0.0 < lmin < lmax:
+                # the parameters depend on the interval alone: an unchanged one keeps them
+                if 0.0 < lmin < lmax and (lmin, lmax) != params.generated_from:
                     params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
 
     if not trace.ended:

@@ -29,6 +29,8 @@ BASIS_KINDS = ("monomial", "newton", "chebyshev")
 # to the smaller shift.
 _LEJA_TIE_TOL = 1e-12
 
+_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
+
 
 class ParameterError(ValueError):
     pass
@@ -69,25 +71,12 @@ def monomial_params(s):
     )
 
 
-def _golden_refine(fun, lo, hi, iters=80):
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if b - a <= 1e-14 * max(abs(a), abs(b), 1.0):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+def _log_distances(xs, pts):
+    """log(|x - p| + 1e-300) for each x in xs (rows) and p in pts (columns)."""
+    t = np.subtract.outer(xs, pts)
+    np.abs(t, out=t)
+    np.add(t, 1e-300, out=t)
+    return np.log(t, out=t)
 
 
 def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
@@ -95,37 +84,69 @@ def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
     the product of distances to the points already chosen.
 
     The objective (in log-sum form to avoid overflow) is scanned on a
-    uniform grid of grid_points candidates; the few best local maxima are
+    uniform grid of grid_points candidates; the four best local maxima are
     then refined by golden-section search so that symmetric configurations
     tie at noise level, and ties resolve to the smaller point.
+
+    The Newton solve's path depends on the last bit of every shift, so the
+    points are bitwise those of four scalar searches run one after another:
+    the searches run in lockstep, each row of their one vector objective
+    reduced as np.sum reduces one vector. The grid objective is re-reduced
+    over the stored log columns for every point, not accumulated: NumPy
+    sums 8 or more terms pairwise, so a running sum would round differently.
     """
     if not (0.0 <= lmin < lmax):
         raise ParameterError(f"need 0 <= lmin < lmax, got ({lmin}, {lmax})")
+    if count < 0 or grid_points < 2:
+        raise ParameterError(f"need count >= 0 and grid_points >= 2, got {count}, {grid_points}")
     pts = [lmax, lmin]
     if count <= 2:
         return np.array(pts[:count])
     xs = np.linspace(lmin, lmax, grid_points)
+    cols = np.empty((grid_points, count))
+    cols[:, :2] = _log_distances(xs, pts)
     while len(pts) < count:
-        arr = np.array(pts)
-        obj = np.sum(np.log(np.abs(xs[:, None] - arr[None, :]) + 1e-300), axis=1)
-
-        def f(x, arr=arr):
-            return float(np.sum(np.log(np.abs(x - arr) + 1e-300)))
-
-        interior = np.nonzero(
-            (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
-        )[0] + 1
+        k = len(pts)
+        obj = np.sum(cols[:, :k], axis=1)
+        interior = np.nonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:]))[0] + 1
         if len(interior) == 0:
             interior = np.array([int(np.argmax(obj))])
         top = interior[np.argsort(obj[interior])[-4:]]
-        refined = []
-        for i in top:
-            lo = xs[max(0, i - 1)]
-            hi = xs[min(grid_points - 1, i + 1)]
-            refined.append(_golden_refine(f, lo, hi))
-        vmax = max(v for _, v in refined)
-        tied = [x for x, v in refined if v >= vmax - _LEJA_TIE_TOL * max(1.0, abs(vmax))]
+
+        def objective(points, arr=np.array(pts)):
+            return np.add.reduce(_log_distances(points, arr), axis=1).tolist()
+
+        # Python floats: the same IEEE arithmetic as NumPy scalars, faster
+        lo = xs[np.maximum(top - 1, 0)].tolist()
+        hi = xs[np.minimum(top + 1, grid_points - 1)].tolist()
+        c = [b - _GOLDEN * (b - a) for a, b in zip(lo, hi)]
+        d = [a + _GOLDEN * (b - a) for a, b in zip(lo, hi)]
+        f = objective(c + d)
+        fc, fd = f[: len(top)], f[len(top) :]
+        active = range(len(top))
+        for _ in range(80):
+            active = [
+                q for q in active if hi[q] - lo[q] > 1e-14 * max(abs(lo[q]), abs(hi[q]), 1.0)
+            ]
+            if not active:
+                break
+            left = [fc[q] > fd[q] for q in active]
+            for q, go_left in zip(active, left):
+                if go_left:
+                    hi[q], d[q], fd[q] = d[q], c[q], fc[q]
+                    c[q] = hi[q] - _GOLDEN * (hi[q] - lo[q])
+                else:
+                    lo[q], c[q], fc[q] = c[q], d[q], fd[q]
+                    d[q] = lo[q] + _GOLDEN * (hi[q] - lo[q])
+            f = objective([c[q] if go_left else d[q] for q, go_left in zip(active, left)])
+            for q, go_left, v in zip(active, left, f):
+                (fc if go_left else fd)[q] = v
+        mids = [0.5 * (a + b) for a, b in zip(lo, hi)]
+        vals = objective(mids)
+        vmax = max(vals)
+        tied = [x for x, v in zip(mids, vals) if v >= vmax - _LEJA_TIE_TOL * max(1.0, abs(vmax))]
         pts.append(min(tied))
+        cols[:, k : k + 1] = _log_distances(xs, pts[k:])
     return np.array(pts)
 
 

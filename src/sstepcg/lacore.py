@@ -41,9 +41,9 @@ def gram(y):
 def sym_eig(m):
     """Eigenvalues of a small symmetric matrix, sorted ascending (LAPACK).
 
-    The name stays, over `np.linalg.eigvalsh`, because `ritz.abs_matrix_norm`,
-    the tests and the benchmark tracer (`perfbench/tracer.py`) look the
-    per-block eigensolve up by it.
+    No solver calls it. The name stays, over `np.linalg.eigvalsh`, because
+    the package exports it and the benchmark tracer (`perfbench/tracer.py`)
+    looks it up.
     """
     return np.linalg.eigvalsh(np.asarray(m, dtype=float))
 

@@ -3,8 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, laplacian_2d_problem, problem_from_dense, random_spd
-from sstepcg import adaptive, lacore
+from conftest import (
+    count_calls,
+    laplacian_2d_problem,
+    problem_from_dense,
+    random_spd,
+    require_matrix,
+)
+from sstepcg import adaptive, basis, lacore
 from sstepcg.adaptive import (
     AdaptiveConfig,
     adaptive_solve,
@@ -13,6 +19,7 @@ from sstepcg.adaptive import (
 )
 from sstepcg.classic import hscg_solve
 from sstepcg.lacore import gram
+from sstepcg.matio import load_problem
 from sstepcg.ritz import MACHINE_UNIT
 from sstepcg.sstep import sstep_solve
 from sstepcg.trace import SolveTrace
@@ -189,6 +196,27 @@ class TestConditionEstimateCalls:
         _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
         assert trace.total_outer > 1
         assert calls == []
+
+
+class TestParameterRefresh:
+    """Basis parameters are a function of the Ritz interval, so they are
+    regenerated only when the interval has moved since the last call."""
+
+    @pytest.mark.parametrize("kind", ["newton", "chebyshev"])
+    def test_regenerated_only_for_a_new_interval(self, monkeypatch, kind):
+        # nos6 at sigma = 4 holds its Ritz interval over the last outer loops
+        prob = load_problem(require_matrix("nos6"), label="nos6")
+        calls = count_calls(monkeypatch, basis, "params_for")
+        cfg = AdaptiveConfig(sigma=4, eps_star=1e-8, basis_kind=kind)
+        _, trace, _ = adaptive_solve(prob, cfg)
+        assert trace.converged
+        assert calls[0] == (kind, 4)
+        intervals = [c[2:] for c in calls[1:]]
+        assert len(intervals) > 10
+        for prev, new in zip(intervals, intervals[1:]):
+            assert new != prev
+        records = trace.outer_records
+        assert records[-1].basis_params_used is records[-2].basis_params_used
 
 
 class TestBasisWorkspace:

@@ -94,6 +94,95 @@ class TestNewtonParams:
         b = leja_points(1e-6, 2.0, 10)
         assert np.array_equal(a, b)
 
+    def test_count_and_grid_checked(self):
+        with pytest.raises(ParameterError, match="count"):
+            leja_points(1.0, 2.0, -1)
+        with pytest.raises(ParameterError, match="grid_points"):
+            leja_points(1.0, 2.0, 4, grid_points=1)
+        with pytest.raises(ParameterError, match="grid_points"):
+            leja_points(1.0, 2.0, 2, grid_points=0)
+        empty = leja_points(1.0, 2.0, 0)
+        assert empty.shape == (0,)
+
+
+def _golden_refine(fun, lo, hi, iters=80):
+    """Reference: the scalar golden-section search of the one-bracket-at-a-time
+    Leja construction, kept verbatim."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if b - a <= 1e-14 * max(abs(a), abs(b), 1.0):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def reference_leja_points(lmin, lmax, count, grid_points=10000):
+    """Reference: grid objective recomputed from scratch for every point, each
+    of the four best local maxima refined by its own scalar search."""
+    pts = [lmax, lmin]
+    if count <= 2:
+        return np.array(pts[:count])
+    xs = np.linspace(lmin, lmax, grid_points)
+    while len(pts) < count:
+        arr = np.array(pts)
+        obj = np.sum(np.log(np.abs(xs[:, None] - arr[None, :]) + 1e-300), axis=1)
+
+        def f(x, arr=arr):
+            return float(np.sum(np.log(np.abs(x - arr) + 1e-300)))
+
+        interior = np.nonzero(
+            (obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:])
+        )[0] + 1
+        if len(interior) == 0:
+            interior = np.array([int(np.argmax(obj))])
+        top = interior[np.argsort(obj[interior])[-4:]]
+        refined = []
+        for i in top:
+            lo = xs[max(0, i - 1)]
+            hi = xs[min(grid_points - 1, i + 1)]
+            refined.append(_golden_refine(f, lo, hi))
+        vmax = max(v for _, v in refined)
+        tied = [x for x, v in refined if v >= vmax - 1e-12 * max(1.0, abs(vmax))]
+        pts.append(min(tied))
+    return np.array(pts)
+
+
+# (lmin, lmax, count, grid_points): the lmin = 0 interval whose interior
+# points tie at noise level, every count from 1 to 16 (sums of 8 or more
+# log terms are reduced pairwise), three grid sizes, widths 1e-3 to 1e4
+LEJA_CASES = (
+    [(0.0, 1.0, 10, 10000), (0.0, 4.0, 4, 10000)]
+    + [(1e-3, 2.0, count, 10000) for count in range(1, 17)]
+    + [(0.37, 0.37 + 10.0 ** e, 10, 10000) for e in range(-3, 5)]
+    + [(lmin, lmax, count, grid) for grid in (1000, 20000)
+       for lmin, lmax, count in ((1e-6, 1.0, 12), (2.5, 3.5, 9), (0.0, 1e4, 16))]
+    + [(5e-5, 1.3, count, 1000) for count in (3, 5, 8, 11)]
+    + [(12.0, 12.001, 7, 20000), (1e-8, 1e-5, 13, 10000), (0.0, 1.0, 16, 20000)]
+)
+
+
+class TestLejaBits:
+    """The lockstep construction reproduces the one-bracket-at-a-time points
+    bit for bit: the Newton solve's path depends on every last bit."""
+
+    @pytest.mark.parametrize("lmin, lmax, count, grid", LEJA_CASES)
+    def test_equals_scalar_reference(self, lmin, lmax, count, grid):
+        ref = reference_leja_points(lmin, lmax, count, grid)
+        got = leja_points(lmin, lmax, count, grid_points=grid)
+        assert np.array_equal(got, ref), got - ref
+
 
 class TestChebyshevParams:
     def test_direct_substitution(self):
