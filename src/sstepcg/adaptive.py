@@ -22,7 +22,7 @@ Each solve allocates one basis buffer and one work buffer of
 untruncated adaptive block is iterated on in place, a truncated one is
 gathered into the work buffer, and fixed s-step iterates on a C-ordered copy
 there. The per-iteration trace maps back only x and r; `recover_iterates`
-runs once per outer loop.
+runs once per outer loop. Every SpMV goes through `lacore.spmv`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .basis import (
     build_block,
     params_for,
 )
-from .lacore import nested_basis_conds
-from .ritz import MACHINE_UNIT, RitzState, abs_matrix_norm, c_strategy
+from .lacore import nested_basis_conds, spmv
+from .ritz import C_STRATEGIES, MACHINE_UNIT, BreakdownSignal, RitzState, abs_matrix_norm, c_strategy
 from .trace import CgCoefficients, SolveTrace, _RunState
 
 
@@ -80,6 +80,8 @@ class AdaptiveConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
+        if self.c_strategy not in C_STRATEGIES:
+            raise ValueError(f"unknown c strategy {self.c_strategy!r}")
 
 
 @dataclass
@@ -166,14 +168,24 @@ def _blocked_solve(problem, cfg, fixed):
     fixed=True is fixed s-step CG at s = cfg.sigma: the block is used as
     built, with no truncation and no break test, and a monomial cfg skips
     the parameter refresh.
+
+    Each value is formed once. The SpMVs are one for r0, 2 s_bar - 1 per
+    basis and one per iteration for the true residual. The last iteration's
+    x_j and r_j are bitwise the x and r that `recover_iterates` returns, so
+    the stopping rules and the block selection at the next boundary read
+    the relative residuals it recorded (both ||r0|| / ||b|| at the start).
+    Each iteration forms one Gram quadratic form (its numerator is the last
+    rr_new), and a block keeps the c that selected it unless full-bound c
+    must bound a truncated block.
     """
     a, b = problem.a, problem.b
     nb = np.linalg.norm(b)
     nu = problem.norm_abs_a / problem.norm_a if problem.norm_a else 1.0
 
     x = problem.x0.copy()
-    r = b - a.as_csr() @ x
+    r = b - spmv(a, x)
     p = r.copy()
+    true_rel = upd_rel = np.linalg.norm(r) / nb
     # One basis buffer and one work buffer per solve, flat so that the
     # leading (2s+1) n entries form a contiguous (2s+1, n) array for every
     # s <= sigma, and the loop below allocates no n x (2s+1) array.
@@ -196,7 +208,7 @@ def _blocked_solve(problem, cfg, fixed):
 
     s_prev = None
     for k in range(cfg.max_outer):
-        if run.stop(trace, np.linalg.norm(b - a.as_csr() @ x) / nb, cfg.eps_star, r, nb):
+        if run.stop(trace, true_rel, upd_rel, cfg.eps_star):
             break
         s_bar = cfg.s_bar0 if k == 0 else min(s_prev + cfg.f, cfg.sigma)
         try:
@@ -216,10 +228,11 @@ def _blocked_solve(problem, cfg, fixed):
             y_c[...] = block.y
             trunc = SStepBlock(s=s_bar, y=y_c, b_mat=block.b_mat, g=block.g)
         else:
-            c_sel = strategy_c(s_bar, block.b_mat)
-            r_rel = np.linalg.norm(r) / nb
+            # c is fixed for the block it selects; the improved variant
+            # refreshes it per iteration only through the Ritz-state strategies
+            c_block = strategy_c(s_bar, block.b_mat)
             s_tilde, conds = select_s_tilde(
-                block.g, s_bar, c_sel, MACHINE_UNIT, cfg.eps_star, r_rel
+                block.g, s_bar, c_block, MACHINE_UNIT, cfg.eps_star, upd_rel
             )
             if s_tilde == s_bar:
                 trunc = block
@@ -234,18 +247,18 @@ def _blocked_solve(problem, cfg, fixed):
                     b_mat=assemble_change_of_basis(s_tilde, params),
                     g=block.g[np.ix_(cols, cols)],
                 )
-            # fixed for this block; refreshed per iteration below only
-            # through the ritz-state strategies
-            c_block = strategy_c(s_tilde, trunc.b_mat)
+                # only the full-bound c depends on the block it bounds
+                if cfg.c_strategy == "full-bound":
+                    c_block = strategy_c(s_tilde, trunc.b_mat)
         g_t, b_t = trunc.g, trunc.b_mat
 
         coords = CoordState.initial(s_tilde)
-        phi = np.sqrt(max(0.0, float(coords.rp @ (g_t @ coords.rp)))) / nb
+        num = float(coords.rp @ (g_t @ coords.rp))
+        phi = np.sqrt(max(0.0, num)) / nb
 
         trace.mark_outer(s_tilde)
         break_info = (None, float("nan"), float("nan"))
         for j in range(s_tilde):
-            num = float(coords.rp @ (g_t @ coords.rp))
             denom = float(coords.pp @ (g_t @ (b_t @ coords.pp)))
             if denom <= 0.0 or num < 0.0 or not np.isfinite(denom) or not np.isfinite(num):
                 trace.diverged = True
@@ -259,8 +272,11 @@ def _blocked_solve(problem, cfg, fixed):
             coords.pp = coords.rp + beta * coords.pp
             coords.j = j + 1
             coeffs.append(alpha, beta)
-            if alpha > 0.0 and beta > 0.0 and np.isfinite(alpha) and np.isfinite(beta):
+            try:
                 ritz.absorb_step(alpha, beta)
+            except BreakdownSignal:
+                pass  # the pair stays out of the Ritz estimates
+            num = rr_new
 
             est_rel = np.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
@@ -268,10 +284,12 @@ def _blocked_solve(problem, cfg, fixed):
             # the trace needs x_j and r_j only; p waits for the outer boundary
             x_j = x + trunc.y @ coords.xp
             r_j = trunc.y @ coords.rp
-            tv = b - a.as_csr() @ x_j
+            tv = b - spmv(a, x_j)
+            true_rel = np.linalg.norm(tv) / nb
+            upd_rel = np.linalg.norm(r_j) / nb
             trace.record_iteration(
-                np.linalg.norm(tv) / nb,
-                np.linalg.norm(r_j) / nb,
+                true_rel,
+                upd_rel,
                 np.linalg.norm(tv - r_j),
                 ritz.xi_estimate(),
                 ritz.lambda_min,
@@ -304,15 +322,14 @@ def _blocked_solve(problem, cfg, fixed):
         x, r, p = recover_iterates(trunc, coords, x)
         s_prev = coords.j
 
-        if cfg.variant == "improved" and cfg.basis_kind != "monomial":
-            if trace.total_iters > 1 and ritz.count >= 2:
-                lmin, lmax = ritz.lambda_min, ritz.lambda_max
-                # the parameters depend on the interval alone: an unchanged one keeps them
-                if 0.0 < lmin < lmax and (lmin, lmax) != params.generated_from:
-                    params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
+        if cfg.variant == "improved" and cfg.basis_kind != "monomial" and ritz.count >= 2:
+            lmin, lmax = ritz.lambda_min, ritz.lambda_max
+            # the parameters depend on the interval alone: an unchanged one keeps them
+            if 0.0 < lmin < lmax and (lmin, lmax) != params.generated_from:
+                params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
 
     if not trace.ended:
-        run.out_of_budget(trace, np.linalg.norm(b - a.as_csr() @ x) / nb, cfg.eps_star)
+        run.out_of_budget(trace, true_rel, cfg.eps_star)
     trace.check_consistency()
     return x, trace, coeffs
 

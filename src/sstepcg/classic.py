@@ -48,15 +48,15 @@ def hscg_solve(problem, eps_star, max_iters=None):
     x = problem.x0.copy()
     r = b - spmv(a, x)
     p = r.copy()
+    true_rel = upd_rel = np.linalg.norm(r) / nb
     trace = SolveTrace()
     coeffs = CgCoefficients()
     ritz = RitzState()
 
     run = _RunState()
     i = 0
-    true_vec = b - spmv(a, x)
     while i < max_iters:
-        if run.stop(trace, np.linalg.norm(true_vec) / nb, eps_star, r, nb):
+        if run.stop(trace, true_rel, upd_rel, eps_star):
             break
 
         ap = spmv(a, p)
@@ -78,12 +78,14 @@ def hscg_solve(problem, eps_star, max_iters=None):
         try:
             ritz.absorb_step(alpha, beta)
         except BreakdownSignal:
-            pass
+            pass  # the pair stays out of the Ritz estimates
         true_vec = b - spmv(a, x)
+        true_rel = np.linalg.norm(true_vec) / nb
+        upd_rel = np.linalg.norm(r) / nb
         trace.mark_outer(1)
         trace.record_iteration(
-            np.linalg.norm(true_vec) / nb,
-            np.linalg.norm(r) / nb,
+            true_rel,
+            upd_rel,
             np.linalg.norm(true_vec - r),
             ritz.xi_estimate(),
             ritz.lambda_min,
@@ -91,7 +93,7 @@ def hscg_solve(problem, eps_star, max_iters=None):
             ritz.psi,
         )
     if not trace.ended:
-        run.out_of_budget(trace, np.linalg.norm(true_vec) / nb, eps_star)
+        run.out_of_budget(trace, true_rel, eps_star)
     return x, trace, coeffs
 
 

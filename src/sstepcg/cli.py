@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from .adaptive import AdaptiveConfig, adaptive_solve, attained_accuracy_report
+from .basis import BASIS_KINDS
 from .classic import hscg_attainable_accuracy, hscg_solve
 from .harness import (
     ALGORITHMS,
@@ -17,6 +19,7 @@ from .harness import (
     run_grid,
 )
 from .matio import load_problem
+from .ritz import C_STRATEGIES
 from .sstep import sstep_solve
 
 
@@ -34,7 +37,7 @@ def _solve(args):
         _, trace, _ = sstep_solve(problem, args.s, eps_star, max_outer=args.max_outer)
     else:
         cfg = AdaptiveConfig(
-            sigma=args.sigma or args.s,
+            sigma=args.s,
             eps_star=eps_star,
             s_bar0=args.s_bar0,
             f=args.f,
@@ -54,9 +57,19 @@ def _solve(args):
     return 0
 
 
+def _eps(tok):
+    return tok if tok == "hscg-attainable" else float(tok)
+
+
+# how a spec file sets each ExperimentSpec field; lists are comma-separated
+_SPEC_LISTS = dict(matrices=str, algorithms=str, s_values=int, eps_modes=_eps, basis_kinds=str, c_strategies=str)
+_SPEC_SCALARS = dict(max_outer=int, max_iters=int)
+
+
 def _parse_spec_file(path):
-    """Line-based key=value spec; lists are comma-separated."""
-    kv = {}
+    """Line-based key=value spec. Keys the file does not set keep their
+    `ExperimentSpec` defaults; unknown keys are ignored."""
+    fields = {}
     with open(path) as f:
         for raw in f:
             line = raw.strip()
@@ -65,35 +78,16 @@ def _parse_spec_file(path):
             if "=" not in line:
                 raise ValueError(f"bad spec line: {raw!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            kv[key] = val
-
-    def _list(key, default, conv=str):
-        if key not in kv:
-            return default
-        return [conv(t.strip()) for t in kv[key].split(",") if t.strip()]
-
-    def _eps(tok):
-        return tok if tok == "hscg-attainable" else float(tok)
-
-    matrices = _list("matrices", None)
-    if not matrices:
+            if key in _SPEC_LISTS:
+                fields[key] = [_SPEC_LISTS[key](t.strip()) for t in val.split(",") if t.strip()]
+            elif key in _SPEC_SCALARS:
+                fields[key] = _SPEC_SCALARS[key](val)
+    if not fields.get("matrices"):
         raise ValueError("spec file must set 'matrices'")
-    return ExperimentSpec(
-        matrices=matrices,
-        algorithms=_list("algorithms", list(ALGORITHMS)),
-        s_values=_list("s_values", [5, 10, 15], int),
-        eps_modes=_list("eps_modes", ["hscg-attainable", 1e-6], _eps),
-        basis_kinds=_list("basis_kinds", ["newton", "chebyshev"]),
-        c_strategies=_list("c_strategies", ["adaptive"]),
-        max_outer=int(kv.get("max_outer", 5000)),
-        max_iters=int(kv["max_iters"]) if "max_iters" in kv else None,
-    )
+    return ExperimentSpec(**fields)
 
 
-ROW_FIELDS = [
-    "matrix", "algorithm", "basis", "c_strategy", "s", "eps_star",
-    "cell", "outcome", "total_iters", "total_outer", "final_true_resid", "trace_file",
-]
+ROW_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
 
 
 def _grid(args):
@@ -110,25 +104,14 @@ def _grid(args):
 
 
 def _report(args):
-    rows = []
+    # the field annotations are strings (postponed evaluation)
+    convert = {"int": int, "float": float, "str": str}
+    fields = dataclasses.fields(ResultRow)
     with open(args.rows, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append(
-                ResultRow(
-                    matrix=rec["matrix"],
-                    algorithm=rec["algorithm"],
-                    basis=rec["basis"],
-                    c_strategy=rec["c_strategy"],
-                    s=int(rec["s"]),
-                    eps_star=float(rec["eps_star"]),
-                    cell=rec["cell"],
-                    outcome=rec["outcome"],
-                    total_iters=int(rec["total_iters"]),
-                    total_outer=int(rec["total_outer"]),
-                    final_true_resid=float(rec["final_true_resid"]),
-                    trace_file=rec.get("trace_file", ""),
-                )
-            )
+        rows = [
+            ResultRow(**{fd.name: convert[fd.type](rec[fd.name]) for fd in fields if fd.name in rec})
+            for rec in csv.DictReader(f)
+        ]
     emit_summary_table(rows, args.format, args.out)
     print(f"table -> {args.out}")
     return 0
@@ -142,15 +125,12 @@ def main(argv=None):
     so.add_argument("--matrix", required=True)
     so.add_argument("--alg", choices=ALGORITHMS, default="adaptive-improved")
     so.add_argument("--s", type=int, default=10)
-    so.add_argument("--sigma", type=int, default=None)
     so.add_argument("--f", type=int, default=None)
     so.add_argument("--s-bar0", type=int, default=None)
     so.add_argument("--eps-star", type=float, default=1e-6)
     so.add_argument("--eps-star-mode", choices=["fixed", "hscg-attainable"], default="fixed")
-    so.add_argument("--basis", choices=["monomial", "newton", "chebyshev"], default="newton")
-    so.add_argument("--c-strategy",
-                    choices=["adaptive", "unit", "kappa-estimate", "full-bound"],
-                    default="adaptive")
+    so.add_argument("--basis", choices=BASIS_KINDS, default="newton")
+    so.add_argument("--c-strategy", choices=C_STRATEGIES, default="adaptive")
     so.add_argument("--max-outer", type=int, default=5000)
     so.add_argument("--max-iters", type=int, default=None)
     so.add_argument("--trace-out", default=None)

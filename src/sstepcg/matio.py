@@ -69,20 +69,6 @@ class SparseMatrix:
         d = (c != 0) - (c.T != 0)
         return d.nnz == 0
 
-    def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        if len(self.row_ptr) != self.n + 1:
-            raise ValueError("row_ptr length must be n+1")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ValueError("row_ptr must be monotone nondecreasing")
-        if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
-            raise ValueError("col_idx out of range")
-        true_na = int(np.diff(self.row_ptr).max()) if self.n else 0
-        if self.n_a != true_na:
-            raise ValueError(f"n_a={self.n_a} but true max row population is {true_na}")
-        if self.is_symmetric and not self.pattern_is_symmetric():
-            raise ValueError("flagged symmetric but stored pattern is not")
-
 
 def from_coo(n, rows, cols, vals, is_symmetric=True):
     """Build a SparseMatrix from coordinate data, summing duplicates."""

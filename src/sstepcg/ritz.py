@@ -19,7 +19,7 @@ lambda_min from above. At i = 2 both are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt, copysign
+from math import copysign, inf, sqrt
 
 import numpy as np
 
@@ -28,7 +28,7 @@ MACHINE_UNIT = 2.0 ** -53
 
 
 class BreakdownSignal(ValueError):
-    """Raised when a nonpositive alpha or beta is fed to the estimators."""
+    """Raised when a nonpositive or non-finite alpha or beta is fed to the estimators."""
 
 
 @dataclass
@@ -135,9 +135,13 @@ class RitzState:
         return self.lmin_est.lambda_min if self.count >= 1 else float("nan")
 
     def absorb_step(self, alpha, beta):
-        """Absorb one CG iteration's (alpha, beta) pair."""
-        if not (alpha > 0.0 and beta > 0.0):
-            raise BreakdownSignal(f"nonpositive coefficients alpha={alpha!r} beta={beta!r}")
+        """Absorb one CG iteration's (alpha, beta) pair.
+
+        Both must be positive and finite; any other pair raises
+        BreakdownSignal and leaves the state unchanged.
+        """
+        if not (0.0 < alpha < inf and 0.0 < beta < inf):
+            raise BreakdownSignal(f"breakdown coefficients alpha={alpha!r} beta={beta!r}")
         zeta = 1.0 / sqrt(alpha)
         eta_prev = self._eta_next
         self.lmax_est.absorb(zeta, eta_prev)

@@ -94,21 +94,22 @@ DIVERGENCE_LIMIT = 1e5
 class _RunState:
     """Stopping rules for every solver: convergence, divergence, stagnation.
 
-    The classic and the blocked solvers consult it with the true residual
-    (relative to ||b||) before each step, and call out_of_budget when their
-    iteration budget runs out first. Stagnation means the true residual
-    has hit its attainable floor: no new minimum inside the window AND the
-    updated residual r has collapsed well below the true one (the
-    residual-gap signature of the floor). Mid-run plateaus where both
-    residuals still agree -- routine in delayed s-step convergence -- must
-    keep iterating.
+    The classic and the blocked solvers consult it before each step with the
+    true and updated residuals of the current iterate, relative to ||b||, as
+    the last iteration recorded them (both ||r0|| / ||b|| at the start), and
+    call out_of_budget when their iteration budget runs out first.
+    Stagnation means the true residual has hit its attainable floor: no new
+    minimum inside the window AND the updated residual r has collapsed well
+    below the true one (the residual-gap signature of the floor). Mid-run
+    plateaus where both residuals still agree -- routine in delayed s-step
+    convergence -- must keep iterating.
     """
 
     def __init__(self):
         self.best = np.inf
         self.best_iter = 0
 
-    def stop(self, trace, true_rel, eps_star, r, nb):
+    def stop(self, trace, true_rel, upd_rel, eps_star):
         """True when the run must stop; sets the trace's converged, diverged
         or stagnated flag accordingly."""
         if true_rel <= eps_star:
@@ -120,7 +121,7 @@ class _RunState:
             self.best_iter = trace.total_iters
         elif (
             trace.total_iters - self.best_iter >= STAGNATION_WINDOW
-            and np.linalg.norm(r) / nb <= 0.01 * true_rel
+            and upd_rel <= 0.01 * true_rel
         ):
             trace.stagnated = True
         return trace.ended

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from sstepcg.matio import ProblemInstance, build_rhs, from_coo, load_problem
+from sstepcg.matio import ProblemInstance, SparseMatrix, build_rhs, from_coo, load_problem
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "matrices")
 
@@ -96,6 +96,31 @@ def count_calls(monkeypatch, module, name):
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class _CountingCsr:
+    """Stands in for a cached scipy CSR matrix; counts `@`, delegates the rest."""
+
+    def __init__(self, csr, calls):
+        self._csr = csr
+        self._calls = calls
+
+    def __matmul__(self, x):
+        self._calls.append(x.shape)
+        return self._csr @ x
+
+    def __getattr__(self, name):
+        return getattr(self._csr, name)
+
+
+def count_spmvs(monkeypatch):
+    """Count every sparse product, through `lacore.spmv` or not: while patched,
+    `SparseMatrix.as_csr` hands out a counting proxy. Returns the list each
+    product appends to."""
+    calls = []
+    as_csr = SparseMatrix.as_csr
+    monkeypatch.setattr(SparseMatrix, "as_csr", lambda a: _CountingCsr(as_csr(a), calls))
     return calls
 
 

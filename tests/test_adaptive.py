@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     count_calls,
+    count_spmvs,
     laplacian_2d_problem,
     problem_from_dense,
     random_spd,
@@ -176,6 +177,12 @@ class TestAdaptiveSolve:
         for kind in ("monomial", "newton", "chebyshev"):
             assert AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind=kind).basis_kind == kind
 
+    def test_rejects_unknown_c_strategy(self):
+        with pytest.raises(ValueError, match="c strategy"):
+            AdaptiveConfig(sigma=4, eps_star=1e-6, c_strategy="bogus")
+        for strat in ("adaptive", "unit", "kappa-estimate", "full-bound"):
+            assert AdaptiveConfig(sigma=4, eps_star=1e-6, c_strategy=strat).c_strategy == strat
+
 
 class TestConditionEstimateCalls:
     """The nested estimates cost one small eigensolve per candidate size, so
@@ -196,6 +203,25 @@ class TestConditionEstimateCalls:
         _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
         assert trace.total_outer > 1
         assert calls == []
+
+
+class TestSpmvCount:
+    """A blocked solve does one SpMV for r0, 2 s_bar - 1 per basis and one per
+    iteration for the true residual; the outer boundary reuses the last one."""
+
+    @pytest.mark.parametrize("kind", ["newton", "chebyshev"])
+    def test_adaptive(self, monkeypatch, kind):
+        prob = problem_from_dense(random_spd(50, 1e4, seed=44))
+        calls = count_spmvs(monkeypatch)
+        for variant in ("old", "improved"):
+            calls.clear()
+            cfg = AdaptiveConfig(sigma=6, eps_star=1e-10, basis_kind=kind, variant=variant)
+            _, trace, _ = adaptive_solve(prob, cfg)
+            records = trace.outer_records
+            assert trace.converged and trace.total_outer > 1
+            assert any(rec.s_tilde < rec.s_bar for rec in records)
+            basis_spmvs = sum(2 * rec.s_bar - 1 for rec in records)
+            assert len(calls) == 1 + basis_spmvs + trace.total_iters
 
 
 class TestParameterRefresh:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import problem_from_dense, random_spd
+from conftest import count_spmvs, problem_from_dense, random_spd
 from sstepcg.classic import assemble_tridiag, hscg_attainable_accuracy, hscg_solve
 from sstepcg.lacore import sym_eig
 from sstepcg.trace import CgCoefficients
@@ -60,6 +60,15 @@ class TestHscgSolve:
             running_max = np.maximum.accumulate(upd)
             bound = 1e3 * np.finfo(float).eps * prob.kappa_a * running_max
             assert np.all(gap <= bound)
+
+
+    def test_spmv_count(self, monkeypatch):
+        # r0, then A p and the true residual per iteration
+        prob = problem_from_dense(random_spd(40, 1e3, seed=3))
+        calls = count_spmvs(monkeypatch)
+        _, trace, _ = hscg_solve(prob, 1e-10)
+        assert trace.converged and trace.total_iters > 1
+        assert len(calls) == 1 + 2 * trace.total_iters
 
 
 class TestHscgBudget:

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sstepcg.adaptive import AdaptiveConfig, adaptive_solve
 from sstepcg.classic import hscg_solve
+from sstepcg import cli
 from sstepcg.cli import main as cli_main
 from sstepcg.harness import (
     ExperimentSpec,
@@ -15,6 +17,9 @@ from sstepcg.harness import (
     run_grid,
 )
 from sstepcg.matio import load_problem
+
+
+REPRODUCTION_SPEC = os.path.join(os.path.dirname(__file__), "..", "experiments", "reproduction_grid.spec")
 
 
 def _identity_mm(tmp_path, n=10):
@@ -181,3 +186,53 @@ class TestCli:
     def test_error_exit_code(self, capsys):
         rc = cli_main(["solve", "--matrix", "/nonexistent.mtx", "--alg", "hscg"])
         assert rc == 1
+
+    def test_sigma_alias_removed(self, tmp_path):
+        mm = _identity_mm(tmp_path)
+        with pytest.raises(SystemExit):
+            cli_main(["solve", "--matrix", mm, "--sigma", "4"])
+        assert cli_main(["solve", "--matrix", mm, "--s", "4", "--eps-star", "1e-8"]) == 0
+
+    def test_report_reads_rows_back(self, tmp_path, monkeypatch):
+        rows = [
+            ResultRow("m", "hscg", "", "", 0, 1e-6, "7 (7)", "converged", 7, 7, 3.25e-7, "t.csv"),
+            ResultRow("m", "sstep", "monomial", "", 5, 2.5e-10, "–", "diverged", 0, 0, 0.1),
+        ]
+        rows_csv = tmp_path / "rows.csv"
+        with open(rows_csv, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(cli.ROW_FIELDS)
+            w.writerows([getattr(r, k) for k in cli.ROW_FIELDS] for r in rows)
+        seen = []
+        monkeypatch.setattr(cli, "emit_summary_table", lambda rs, fmt, out: seen.extend(rs))
+        assert cli_main(["report", "--rows", str(rows_csv), "--out", str(tmp_path / "t.md")]) == 0
+        assert seen == rows
+
+
+class TestSpecFile:
+    def test_reproduction_grid(self):
+        matrices = [f"data/matrices/{m}.mtx" for m in ("494_bus", "gr_30_30", "nos6", "nos1")]
+        assert cli._parse_spec_file(REPRODUCTION_SPEC) == ExperimentSpec(
+            matrices=matrices,
+            algorithms=["hscg", "sstep", "adaptive-old", "adaptive-improved"],
+            s_values=[5, 10, 15],
+            eps_modes=["hscg-attainable", 1e-6],
+            basis_kinds=["newton", "chebyshev"],
+            c_strategies=["adaptive"],
+            max_outer=5000,
+            max_iters=None,
+        )
+
+    def test_unset_keys_keep_spec_defaults(self, tmp_path):
+        spec_file = tmp_path / "grid.spec"
+        spec_file.write_text("# only matrices\nmatrices = a.mtx, b.mtx\n")
+        assert cli._parse_spec_file(spec_file) == ExperimentSpec(matrices=["a.mtx", "b.mtx"])
+        spec_file.write_text("matrices = a.mtx\ns_values = 3\neps_modes = 1e-8\nmax_iters = 40\n")
+        spec = cli._parse_spec_file(spec_file)
+        assert (spec.s_values, spec.eps_modes, spec.max_iters) == ([3], [1e-8], 40)
+
+    def test_rejects_missing_matrices(self, tmp_path):
+        spec_file = tmp_path / "grid.spec"
+        spec_file.write_text("s_values = 3\n")
+        with pytest.raises(ValueError, match="matrices"):
+            cli._parse_spec_file(spec_file)

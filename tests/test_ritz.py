@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ class TestAbsorbStep:
             st.absorb_step(-1.0, 1.0)
         with pytest.raises(BreakdownSignal):
             st.absorb_step(1.0, 0.0)
+
+    @pytest.mark.parametrize("pair", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+    def test_breakdown_on_nonfinite_leaves_state(self, pair):
+        st = RitzState()
+        st.absorb_step(2.0, 0.5)
+        before = copy.deepcopy(st)
+        with pytest.raises(BreakdownSignal):
+            st.absorb_step(*pair)
+        assert st == before
+        st.absorb_step(1.0, 1.0)
+        assert st.count == 2
 
     def test_order_two_exactness_random(self):
         rng = np.random.default_rng(20)

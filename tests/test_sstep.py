@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_calls, dense_to_sparse, problem_from_dense, random_spd
+from conftest import count_calls, count_spmvs, dense_to_sparse, problem_from_dense, random_spd
 from sstepcg import basis
 from sstepcg.adaptive import attained_accuracy_report
 from sstepcg.basis import build_block, monomial_params
@@ -169,6 +169,16 @@ class TestFixedPolicy:
         _, trace, _ = sstep_solve(problem_from_dense(random_spd(40, 1e3, seed=46)), 4, 1e-8)
         assert trace.total_outer > 1
         assert calls == [("monomial", 4)]
+
+    @pytest.mark.parametrize("max_outer", [None, 3])
+    def test_spmv_count(self, monkeypatch, max_outer):
+        # r0, 2 s - 1 per basis, one true residual per iteration; none at
+        # the outer boundaries or at the end of the budget
+        prob = problem_from_dense(random_spd(50, 1e3, seed=38))
+        calls = count_spmvs(monkeypatch)
+        _, trace, _ = sstep_solve(prob, 4, 1e-10, max_outer=max_outer)
+        assert trace.converged == (max_outer is None)
+        assert len(calls) == 1 + trace.total_outer * (2 * 4 - 1) + trace.total_iters
 
     def test_rejects_bad_arguments(self):
         prob = problem_from_dense(np.eye(5))
