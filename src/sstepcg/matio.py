@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,12 +88,18 @@ def from_coo(n, rows, cols, vals, is_symmetric=True):
     )
 
 
+# one Matrix Market entry line: 1-based row and column, then the value
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def read_matrix_market(path):
     """Read a real square Matrix Market coordinate file into full symmetric CSR.
 
     Symmetric files have the strict lower/upper triangle mirrored; general
     files must have a structurally symmetric pattern. Duplicate entries are
-    summed.
+    summed. The entry body is parsed in one `np.loadtxt` call; a body that
+    fails to parse, has the wrong count or an index out of range is scanned
+    again line by line (`_scan_entries`) to name the offending line.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as f:
@@ -131,13 +138,47 @@ def read_matrix_market(path):
         if m != n:
             raise MatrixMarketError(f"matrix must be square, got {m}x{n}", line_no)
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        k = 0
-        for line in f:
-            line_no += 1
-            if not line.strip() or line.startswith("%"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+                body = np.loadtxt(f, dtype=_ENTRY, comments="%", ndmin=1)
+        except ValueError:
+            body = None
+
+    if body is not None and len(body) == nnz and (
+        nnz == 0 or all(body[k].min() >= 1 and body[k].max() <= n for k in "ij")
+    ):
+        body["i"] -= 1
+        body["j"] -= 1
+        rows, cols, vals = body["i"], body["j"], body["v"]
+    else:
+        rows, cols, vals = _scan_entries(path, opener, line_no, n, nnz)
+    del body  # so the concatenation below frees the parsed entries before from_coo
+
+    if sym == "symmetric":
+        off = rows != cols
+        rows, cols, vals = (
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]),
+        )
+    a = from_coo(n, rows, cols, vals, is_symmetric=True)
+    if sym == "general" and not a.pattern_is_symmetric():
+        raise MatrixMarketError("general file without structurally symmetric pattern")
+    return a
+
+
+def _scan_entries(path, opener, size_line_no, n, nnz):
+    """Parse the entry lines after line size_line_no one at a time; raise a
+    MatrixMarketError naming the first bad line, else return 0-based
+    (rows, cols, vals)."""
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz)
+    k = 0
+    with opener(path, "rt") as f:
+        for line_no, line in enumerate(f, start=1):
+            if line_no <= size_line_no or not line.strip() or line.startswith("%"):
                 continue
             toks = line.split()
             if len(toks) != 3:
@@ -154,20 +195,9 @@ def read_matrix_market(path):
                 raise MatrixMarketError("index out of range", line_no)
             rows[k], cols[k], vals[k] = i, j, v
             k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"expected {nnz} entries, found {k}", line_no)
-
-    if sym == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    a = from_coo(n, rows, cols, vals, is_symmetric=True)
-    if sym == "general" and not a.pattern_is_symmetric():
-        raise MatrixMarketError("general file without structurally symmetric pattern")
-    return a
+    if k != nnz:
+        raise MatrixMarketError(f"expected {nnz} entries, found {k}", line_no)
+    return rows, cols, vals
 
 
 def jacobi_precondition(a):
@@ -204,6 +234,15 @@ def build_rhs(n):
 
 @dataclass
 class NormEstimates:
+    """Spectral estimates of a symmetric A.
+
+    iters_used counts the sparse products spent (0 on the dense path);
+    converged is False when a Lanczos run ran out of steps before its
+    extreme Ritz values settled. Lanczos Ritz values lie inside the
+    spectrum, so lambda_min is high, ||A|| low and kappa_a an underestimate
+    unless n <= DENSE_MAX_N, where all three are exact.
+    """
+
     norm_a: float
     norm_abs_a: float
     kappa_a: float
@@ -212,60 +251,92 @@ class NormEstimates:
     converged: bool
 
 
-def _power_iteration(matvec, n, iters, tol, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    w = matvec(v)
-    for it in range(1, iters + 1):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, it, True
-        v = w / nw
-        # A v serves the Rayleigh quotient now and the next step's product
-        w = matvec(v)
-        new_lam = float(np.dot(v, w))
-        if lam != 0.0 and abs(new_lam - lam) <= tol * abs(new_lam):
-            return new_lam, it, True
-        lam = new_lam
-    return lam, iters, False
+DENSE_MAX_N = 2000  # largest n whose norms come from dense eigensolves
+LANCZOS_CHECK = 20  # Lanczos steps between convergence tests
+LANCZOS_TOL = 1e-6  # settled: moved by at most this times |theta_max|
 
 
-def estimate_operator_norms(a, iters=500, tol=1e-10):
-    """Estimate ||A||_2, || |A| ||_2 and kappa(A) for symmetric A.
+def _lanczos_extremes(a, steps):
+    """Extreme Ritz values of plain Lanczos on A from a random start.
 
-    ||A|| and || |A| || come from power iteration. lambda_min comes from a
-    dense symmetric eigensolve for n <= 2000 (exact at desk scale), else
-    from power iteration on ||A|| I - A.
+    No reorthogonalization: lost orthogonality only adds copies of Ritz
+    values that have converged, and the extremes approach the spectrum from
+    inside. Every LANCZOS_CHECK steps the extremes of the tridiagonal T_k
+    come from a dense eigvalsh; the run has converged when both have
+    settled since the last test. Returns (theta_min, theta_max, products,
+    converged).
     """
-    norm_a, it1, c1 = _power_iteration(lambda v: spmv(a, v), a.n, iters, tol)
-    abs_csr = a.as_csr().copy()
-    abs_csr.data = np.abs(abs_csr.data)
-    norm_abs_a, it2, c2 = _power_iteration(lambda v: abs_csr @ v, a.n, iters, tol)
-    if a.n <= 2000:
-        w = np.linalg.eigvalsh(a.to_dense())
-        lam_min = float(w[0])
-        it3, c3 = 0, True
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(a.n)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(a.n)
+    tmp = np.empty(a.n)  # the scaled vectors, so a step allocates only A v
+    alphas, betas = [], []
+    beta = 0.0
+    last = None
+    for k in range(1, steps + 1):
+        w = spmv(a, v)
+        alpha = float(np.dot(v, w))
+        w -= np.multiply(v, alpha, out=tmp)
+        w -= np.multiply(v_prev, beta, out=tmp)
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        if k % LANCZOS_CHECK == 0 or k == steps or beta == 0.0:
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta = np.linalg.eigvalsh(t)
+            lo, hi = float(theta[0]), float(theta[-1])
+            tol = LANCZOS_TOL * abs(hi)
+            # beta = 0: the Krylov space is invariant and T_k's extremes exact
+            if beta == 0.0 or (
+                last is not None and abs(lo - last[0]) <= tol and abs(hi - last[1]) <= tol
+            ):
+                return lo, hi, k, True
+            last = lo, hi
+        betas.append(beta)
+        w /= beta
+        v_prev, v = v, w
+    return lo, hi, steps, False
+
+
+def estimate_operator_norms(a, iters=1000):
+    """Estimate ||A||_2, || |A| ||_2, lambda_min and kappa(A) for symmetric A.
+
+    For n <= DENSE_MAX_N all come from dense eigvalsh of A and of |A|, and
+    are exact. Larger A runs plain Lanczos (`_lanczos_extremes`, at most
+    iters steps each) on A for lambda_min and lambda_max, and on |A| for its
+    largest eigenvalue, which is || |A| || since |A| is nonnegative. Those
+    Ritz values lie inside the spectrum, so kappa is an underestimate.
+    """
+    if a.n <= DENSE_MAX_N:
+        d = a.to_dense()
+        w = np.linalg.eigvalsh(d)
+        w_abs = np.linalg.eigvalsh(np.abs(d, out=d))
+        lam_min, lam_max, norm_abs_a = float(w[0]), float(w[-1]), float(w_abs[-1])
+        used, converged = 0, True
     else:
-        shifted, it3, c3 = _power_iteration(
-            lambda v: norm_a * v - spmv(a, v), a.n, iters, tol, seed=1
-        )
-        lam_min = norm_a - shifted
+        lam_min, lam_max, k1, c1 = _lanczos_extremes(a, iters)
+        abs_a = SparseMatrix(a.n, a.row_ptr, a.col_idx, np.abs(a.values), a.n_a)
+        _, norm_abs_a, k2, c2 = _lanczos_extremes(abs_a, iters)
+        used, converged = k1 + k2, c1 and c2
+    norm_a = max(abs(lam_min), abs(lam_max))
     kappa = np.inf if lam_min <= 0 else norm_a / lam_min
     return NormEstimates(
-        norm_a=float(norm_a),
-        norm_abs_a=float(norm_abs_a),
+        norm_a=norm_a,
+        norm_abs_a=norm_abs_a,
         kappa_a=float(kappa),
         lambda_min=lam_min,
-        iters_used=it1 + it2 + it3,
-        converged=c1 and c2 and c3,
+        iters_used=used,
+        converged=converged,
     )
 
 
 @dataclass
 class ProblemInstance:
-    """A preconditioned system A x = b with x0 = 0 and unit-norm b."""
+    """A preconditioned system A x = b with x0 = 0 and unit-norm b.
+
+    norms is the estimate the norm fields were taken from, when set-up made
+    one (`load_problem`); problems built with known norms leave it None.
+    """
 
     a: SparseMatrix
     b: np.ndarray
@@ -274,22 +345,34 @@ class ProblemInstance:
     norm_abs_a: float
     kappa_a: float
     label: str = ""
+    norms: NormEstimates | None = None
 
 
-def load_problem(path, label=None, norm_iters=500, norm_tol=1e-10):
-    """Ingest, precondition and assemble the standard test problem."""
-    raw = read_matrix_market(path)
-    a, _ = jacobi_precondition(raw)
-    est = estimate_operator_norms(a, iters=norm_iters, tol=norm_tol)
-    b = build_rhs(a.n)
+def load_problem(path, label=None):
+    """Ingest, precondition and assemble the standard test problem.
+
+    Warns (RuntimeWarning) when a Lanczos norm estimate ran out of steps
+    before it converged.
+    """
     if label is None:
         label = str(path)
+    # the unscaled matrix is freed before the norms are estimated
+    a, _ = jacobi_precondition(read_matrix_market(path))
+    est = estimate_operator_norms(a)
+    if not est.converged:
+        warnings.warn(
+            f"{label}: spectral estimates not converged after {est.iters_used} "
+            f"Lanczos steps; kappa(A) = {est.kappa_a:.4g} is an underestimate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return ProblemInstance(
         a=a,
-        b=b,
+        b=build_rhs(a.n),
         x0=np.zeros(a.n),
         norm_a=est.norm_a,
         norm_abs_a=est.norm_abs_a,
         kappa_a=est.kappa_a,
         label=label,
+        norms=est,
     )

@@ -1,7 +1,10 @@
+import functools
+import gzip
+
 import numpy as np
 import pytest
 
-from conftest import dense_to_sparse, require_matrix
+from conftest import count_calls, dense_to_sparse, laplacian_2d_problem, require_matrix
 from sstepcg import matio
 from sstepcg.matio import (
     DegenerateMatrixError,
@@ -47,23 +50,16 @@ def _row_max_per_row(a):
     return out
 
 
-def _power_iteration_two_products(matvec, n, iters, tol, seed=0):
-    """Reference: a fresh product for each step's Rayleigh quotient."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, iters + 1):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, it, True
-        v = w / nw
-        new_lam = float(np.dot(v, matvec(v)))
-        if lam != 0.0 and abs(new_lam - lam) <= tol * abs(new_lam):
-            return new_lam, it, True
-        lam = new_lam
-    return lam, iters, False
+def _tridiagonal(n):
+    """SPD tridiagonal with diagonal rising from 0.5 to 4 and off-diagonal -0.2."""
+    d = np.linspace(0.5, 4.0, n)
+    idx = np.arange(n - 1)
+    return from_coo(
+        n,
+        np.concatenate([np.arange(n), idx, idx + 1]),
+        np.concatenate([np.arange(n), idx + 1, idx]),
+        np.concatenate([d, np.full(2 * (n - 1), -0.2)]),
+    )
 
 
 class TestReadMatrixMarket:
@@ -119,6 +115,36 @@ class TestReadMatrixMarket:
         )
         a = read_matrix_market(str(p))
         assert a.to_dense()[0, 0] == 3.0
+
+    def test_gzip_bitwise_equal_to_plain(self, tmp_path):
+        path = require_matrix("nos1")
+        gz = tmp_path / "nos1.mtx.gz"
+        with open(path, "rb") as src, gzip.open(gz, "wb") as dst:
+            dst.write(src.read())
+        a, ref = read_matrix_market(str(gz)), read_matrix_market(path)
+        assert a.n == ref.n and a.n_a == ref.n_a
+        for got, want in ((a.row_ptr, ref.row_ptr), (a.col_idx, ref.col_idx), (a.values, ref.values)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_field(self, tmp_path):
+        p = tmp_path / "int.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate integer symmetric\n"
+            "2 2 3\n1 1 4\n2 1 -1\n2 2 3\n"
+        )
+        a = read_matrix_market(str(p))
+        assert a.values.dtype == np.float64
+        np.testing.assert_array_equal(a.to_dense(), [[4.0, -1.0], [-1.0, 3.0]])
+
+    def test_entries_python_accepts_but_loadtxt_rejects(self, tmp_path):
+        # int("1_0") and float("2_5") parse; the line-by-line scan takes over
+        p = tmp_path / "underscore.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "10 10 2\n1_0 1_0 2_5\n1 1 1.0\n"
+        )
+        a = read_matrix_market(str(p))
+        assert a.to_dense()[9, 9] == 25.0 and a.to_dense()[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "content,line",
@@ -249,50 +275,45 @@ class TestEstimateOperatorNorms:
         assert est.norm_a == pytest.approx(7.5, rel=1e-8)
         assert est.kappa_a == pytest.approx(15.0, rel=1e-8)
 
-    def test_power_iteration_reuses_rayleigh_product(self):
-        rng = np.random.default_rng(14)
-        q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
-        m = (q * np.linspace(1.0, 9.0, 50)) @ q.T
-        calls = []
+    def test_dense_path_bitwise_equal_to_eigvalsh(self):
+        a = read_matrix_market(require_matrix("nos1"))
+        d = a.to_dense()
+        w, w_abs = np.linalg.eigvalsh(d), np.linalg.eigvalsh(np.abs(d))
+        est = estimate_operator_norms(a)
+        assert est.norm_a == w[-1] and est.lambda_min == w[0]
+        assert est.norm_abs_a == w_abs[-1]
+        assert est.kappa_a == w[-1] / w[0]
+        assert est.converged and est.iters_used == 0
 
-        def matvec(v):
-            calls.append(1)
-            return m @ v
+    def test_one_spmv_per_lanczos_step(self, monkeypatch):
+        a = _tridiagonal(matio.DENSE_MAX_N + 100)
+        calls = count_calls(monkeypatch, matio, "spmv")
+        _, _, used, converged = matio._lanczos_extremes(a, 50)
+        assert len(calls) == used == 50 and not converged
+        assert all(args[0] is a for args in calls)
 
-        for iters, tol in ((40, 0.0), (500, 1e-10)):
-            calls.clear()
-            got = matio._power_iteration(matvec, 50, iters, tol)
-            assert len(calls) == got[1] + 1
-            assert got == _power_iteration_two_products(lambda v: m @ v, 50, iters, tol)
-        assert got[2]  # the loose tolerance converged early
+    def test_iters_used_counts_products(self, monkeypatch):
+        a = _tridiagonal(matio.DENSE_MAX_N + 100)
+        calls = count_calls(monkeypatch, matio, "spmv")
+        est = estimate_operator_norms(a)
+        assert est.converged
+        assert est.iters_used == len(calls)
+        assert est.iters_used % matio.LANCZOS_CHECK == 0
 
-    def test_iters_plus_one_spmvs_per_run_and_bitwise_reference(self, monkeypatch):
-        # n > 2000 takes lambda_min from a third power run on ||A|| I - A
-        n, iters = 2100, 20
-        d = np.linspace(0.5, 4.0, n)
-        idx = np.arange(n - 1)
-        a = from_coo(
-            n,
-            np.concatenate([np.arange(n), idx, idx + 1]),
-            np.concatenate([np.arange(n), idx + 1, idx]),
-            np.concatenate([d, np.full(2 * (n - 1), -0.2)]),
-        )
-        calls = []
-        spmv = matio.spmv
+    def test_budget_exhausted_is_not_converged(self):
+        a = _tridiagonal(matio.DENSE_MAX_N + 100)
+        est = estimate_operator_norms(a, iters=30)
+        assert not est.converged and est.iters_used == 60
 
-        def counted(*args):
-            calls.append(1)
-            return spmv(*args)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(matio, "_power_iteration", _power_iteration_two_products)
-            ref = estimate_operator_norms(a, iters=iters, tol=0.0)
-        monkeypatch.setattr(matio, "spmv", counted)
-        est = estimate_operator_norms(a, iters=iters, tol=0.0)
-        assert not est.converged and est.iters_used == 3 * iters
-        # ||A|| and lambda_min go through spmv; || |A| || has its own product
-        assert len(calls) == 2 * (iters + 1)
-        assert est == ref
+    def test_three_point_spectrum(self):
+        # the Krylov space of diag(1, 2, 3, 1, 2, 3, ...) has dimension 3
+        n = matio.DENSE_MAX_N + 1
+        a = from_coo(n, np.arange(n), np.arange(n), np.tile([1.0, 2.0, 3.0], n // 3))
+        est = estimate_operator_norms(a)
+        assert est.converged
+        assert est.norm_a == pytest.approx(3.0, rel=1e-12)
+        assert est.norm_abs_a == pytest.approx(3.0, rel=1e-12)
+        assert est.kappa_a == pytest.approx(3.0, rel=1e-12)
 
     def test_bcsstk09_kappa(self):
         # reference: kappa of the preconditioned matrix ~ 1.04e4
@@ -300,3 +321,62 @@ class TestEstimateOperatorNorms:
 
         p = load_problem(require_matrix("bcsstk09"), label="bcsstk09")
         assert p.kappa_a == pytest.approx(1.04e4, rel=0.02)
+
+
+class TestLanczosClosedForm:
+    """n = 16,384 takes the Lanczos path; the 5-point Laplacian's extremes
+    are known in closed form (conftest.laplacian_2d_problem)."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        exact = laplacian_2d_problem(128)
+        return exact, estimate_operator_norms(exact.a)
+
+    def test_takes_lanczos_path_and_converges(self, case):
+        exact, est = case
+        assert exact.a.n > matio.DENSE_MAX_N
+        assert est.converged and est.iters_used > 0
+
+    def test_norm_a(self, case):
+        exact, est = case
+        assert abs(est.norm_a - exact.norm_a) <= 1e-5
+
+    def test_norm_abs_a(self, case):
+        exact, est = case
+        h = np.pi / (2 * 129)
+        assert exact.norm_abs_a == 4.0 + 4.0 * np.cos(2 * h)
+        assert abs(est.norm_abs_a - exact.norm_abs_a) <= 1e-4
+
+    def test_ritz_values_inside_spectrum(self, case):
+        exact, est = case
+        assert est.lambda_min >= exact.norm_a / exact.kappa_a
+        assert est.norm_a <= exact.norm_a
+
+    def test_kappa_underestimate_within_ten_percent(self, case):
+        exact, est = case
+        assert 0.9 * exact.kappa_a <= est.kappa_a <= exact.kappa_a
+
+
+class TestLoadProblem:
+    def test_carries_converged_estimates(self, nos1_problem):
+        est = nos1_problem.norms
+        assert est.converged
+        assert (est.norm_a, est.norm_abs_a, est.kappa_a) == (
+            nos1_problem.norm_a, nos1_problem.norm_abs_a, nos1_problem.kappa_a
+        )
+
+    def test_warns_when_lanczos_budget_runs_out(self, tmp_path, monkeypatch):
+        a = _tridiagonal(matio.DENSE_MAX_N + 100)
+        rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+        lower = rows >= a.col_idx
+        path = tmp_path / "tri.mtx"
+        with open(path, "w") as f:
+            f.write(f"%%MatrixMarket matrix coordinate real symmetric\n{a.n} {a.n} {lower.sum()}\n")
+            for i, j, v in zip(rows[lower], a.col_idx[lower], a.values[lower]):
+                f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        monkeypatch.setattr(
+            matio, "estimate_operator_norms", functools.partial(estimate_operator_norms, iters=30)
+        )
+        with pytest.warns(RuntimeWarning, match="tri: .* after 60 Lanczos steps"):
+            p = matio.load_problem(str(path), label="tri")
+        assert not p.norms.converged and p.norms.iters_used == 60
