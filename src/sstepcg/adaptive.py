@@ -27,6 +27,7 @@ runs once per outer loop. Every SpMV goes through `lacore.spmv`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,12 +180,12 @@ def _blocked_solve(problem, cfg, fixed):
     must bound a truncated block.
     """
     a, b = problem.a, problem.b
-    nb = np.linalg.norm(b)
+    nb = math.sqrt(b @ b)
 
     x = problem.x0.copy()
     r = b - spmv(a, x)
     p = r.copy()
-    true_rel = upd_rel = np.linalg.norm(r) / nb
+    true_rel = upd_rel = math.sqrt(r @ r) / nb
     # One basis buffer and one work buffer per solve, flat so that the
     # leading (2s+1) n entries form a contiguous (2s+1, n) array for every
     # s <= sigma, and the loop below allocates no n x (2s+1) array.
@@ -254,13 +255,13 @@ def _blocked_solve(problem, cfg, fixed):
 
         coords = CoordState.initial(s_tilde)
         num = float(coords.rp @ (g_t @ coords.rp))
-        phi = np.sqrt(max(0.0, num)) / nb
+        phi = math.sqrt(max(0.0, num)) / nb
 
         trace.mark_outer(s_tilde)
         break_info = (None, float("nan"), float("nan"))
         for j in range(s_tilde):
             denom = float(coords.pp @ (g_t @ (b_t @ coords.pp)))
-            if denom <= 0.0 or num < 0.0 or not np.isfinite(denom) or not np.isfinite(num):
+            if denom <= 0.0 or num < 0.0 or not math.isfinite(denom) or not math.isfinite(num):
                 trace.diverged = True
                 break
             alpha = num / denom
@@ -278,19 +279,20 @@ def _blocked_solve(problem, cfg, fixed):
                 pass  # the pair stays out of the Ritz estimates
             num = rr_new
 
-            est_rel = np.sqrt(max(0.0, rr_new)) / nb
+            est_rel = math.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
 
             # the trace needs x_j and r_j only; p waits for the outer boundary
             x_j = x + trunc.y @ coords.xp
             r_j = trunc.y @ coords.rp
             tv = b - spmv(a, x_j)
-            true_rel = np.linalg.norm(tv) / nb
-            upd_rel = np.linalg.norm(r_j) / nb
+            true_rel = math.sqrt(tv @ tv) / nb
+            upd_rel = math.sqrt(r_j @ r_j) / nb
+            gap = tv - r_j
             trace.record_iteration(
                 true_rel,
                 upd_rel,
-                np.linalg.norm(tv - r_j),
+                math.sqrt(gap @ gap),
                 ritz.xi_estimate(),
                 ritz.lambda_min,
                 ritz.lambda_max,

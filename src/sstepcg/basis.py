@@ -31,6 +31,9 @@ _LEJA_TIE_TOL = 1e-12
 
 _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 
+# NumPy's pairwise summation splits runs longer than this
+_PAIRWISE_BLOCK = 128
+
 
 class ParameterError(ValueError):
     pass
@@ -71,12 +74,53 @@ def monomial_params(s):
     )
 
 
-def _log_distances(xs, pts):
-    """log(|x - p| + 1e-300) for each x in xs (rows) and p in pts (columns)."""
-    t = np.subtract.outer(xs, pts)
-    np.abs(t, out=t)
-    np.add(t, 1e-300, out=t)
-    return np.log(t, out=t)
+def _log_distances(xs, pts, out=None):
+    """log(|x - p| + 1e-300) for each x in xs (rows) and p in pts (columns);
+    a vector over xs when pts is one point. Written into out when given."""
+    t = np.subtract.outer(xs, pts, out=out)
+    np.abs(t, t)
+    np.add(t, 1e-300, t)
+    return np.log(t, t)
+
+
+def _pairwise_sum(terms, prev=None):
+    """Elementwise sum of equal-length vectors, bitwise np.sum(axis=1) of
+    their column stack: each row added in NumPy's pairwise order.
+
+    Fewer than 8 terms are added in turn. Up to 128 are split over 8
+    accumulators, taking every eighth term; these are joined by a fixed
+    tree and the terms past the last multiple of 8 are added in turn.
+    More than 128 are split in two at a multiple of 8 and summed apart.
+    Given prev, the sum of all terms but the last, a last term that NumPy
+    adds in turn is added to prev in place.
+    """
+    n = len(terms)
+    if prev is not None and n % 8 and n <= _PAIRWISE_BLOCK:
+        prev += terms[-1]
+        return prev
+    if n < 8:
+        res = terms[0].copy()
+        for t in terms[1:]:
+            res += t
+        return res
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    full = n - n % 8
+    acc = terms[:8]
+    for i in range(8, full, 8):
+        acc = [r + t for r, t in zip(acc, terms[i : i + 8])]
+    # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) with three vector
+    # temporaries, not seven: fresh vectors can cost page faults
+    res = acc[0] + acc[1]
+    res += acc[2] + acc[3]
+    right = acc[4] + acc[5]
+    right += acc[6] + acc[7]
+    res += right
+    for t in terms[full:]:
+        res += t
+    return res
 
 
 def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
@@ -89,11 +133,14 @@ def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
     tie at noise level, and ties resolve to the smaller point.
 
     The Newton solve's path depends on the last bit of every shift, so the
-    points are bitwise those of four scalar searches run one after another:
-    the searches run in lockstep, each row of their one vector objective
-    reduced as np.sum reduces one vector. The grid objective is re-reduced
-    over the stored log columns for every point, not accumulated: NumPy
-    sums 8 or more terms pairwise, so a running sum would round differently.
+    points are bitwise those of a scan that sums each candidate's log
+    distances with np.sum, followed by four scalar searches run one after
+    another. The scan keeps one contiguous log-distance vector per chosen
+    point and reproduces the order in which np.sum reduces one row
+    (`_pairwise_sum`): a running sum up to 7 terms, then 8 accumulators,
+    a fixed tree and the remaining terms in turn, so most points cost one
+    vector add. The four searches run in lockstep, each row of their one
+    vector objective reduced as np.sum reduces one vector.
     """
     if not (0.0 <= lmin < lmax):
         raise ParameterError(f"need 0 <= lmin < lmax, got ({lmin}, {lmax})")
@@ -103,50 +150,61 @@ def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
     if count <= 2:
         return np.array(pts[:count])
     xs = np.linspace(lmin, lmax, grid_points)
-    cols = np.empty((grid_points, count))
-    cols[:, :2] = _log_distances(xs, pts)
-    while len(pts) < count:
-        k = len(pts)
-        obj = np.sum(cols[:, :k], axis=1)
-        interior = np.nonzero((obj[1:-1] >= obj[:-2]) & (obj[1:-1] >= obj[2:]))[0] + 1
+    # one contiguous log-distance row per chosen point but the last
+    logs = np.empty((count - 1, grid_points))
+    _log_distances(xs, lmax, logs[0])
+    obj = None
+    for k in range(2, count):
+        _log_distances(xs, pts[-1], logs[k - 1])
+        obj = _pairwise_sum(logs[:k], obj)
+        mid = obj[1:-1]
+        interior = np.flatnonzero((mid >= obj[:-2]) & (mid >= obj[2:])) + 1
         if len(interior) == 0:
             interior = np.array([int(np.argmax(obj))])
         top = interior[np.argsort(obj[interior])[-4:]]
 
         def objective(points, arr=np.array(pts)):
-            return np.add.reduce(_log_distances(points, arr), axis=1).tolist()
+            return np.add.reduce(_log_distances(np.array(points), arr), 1).tolist()
 
-        # Python floats: the same IEEE arithmetic as NumPy scalars, faster
+        # Python floats: the same IEEE arithmetic as NumPy scalars, faster.
+        # Every bracket lies in [lmin, lmax] with lmin >= 0, so in the stop
+        # test hi - lo > 1e-14 max(|lo|, |hi|, 1) the largest magnitude is hi.
         lo = xs[np.maximum(top - 1, 0)].tolist()
         hi = xs[np.minimum(top + 1, grid_points - 1)].tolist()
         c = [b - _GOLDEN * (b - a) for a, b in zip(lo, hi)]
         d = [a + _GOLDEN * (b - a) for a, b in zip(lo, hi)]
         f = objective(c + d)
         fc, fd = f[: len(top)], f[len(top) :]
-        active = range(len(top))
+        active = [q for q in range(len(top)) if hi[q] - lo[q] > 1e-14 * max(hi[q], 1.0)]
         for _ in range(80):
-            active = [
-                q for q in active if hi[q] - lo[q] > 1e-14 * max(abs(lo[q]), abs(hi[q]), 1.0)
-            ]
             if not active:
                 break
-            left = [fc[q] > fd[q] for q in active]
-            for q, go_left in zip(active, left):
-                if go_left:
-                    hi[q], d[q], fd[q] = d[q], c[q], fc[q]
-                    c[q] = hi[q] - _GOLDEN * (hi[q] - lo[q])
+            # one pass per step: move each bracket, note where its new
+            # point's value goes, and keep it if it is still wide enough
+            new, slots, kept = [], [], []
+            for q in active:
+                a, b = lo[q], hi[q]
+                if fc[q] > fd[q]:
+                    b = hi[q] = d[q]
+                    d[q], fd[q] = c[q], fc[q]
+                    x = c[q] = b - _GOLDEN * (b - a)
+                    slots.append(fc)
                 else:
-                    lo[q], c[q], fc[q] = c[q], d[q], fd[q]
-                    d[q] = lo[q] + _GOLDEN * (hi[q] - lo[q])
-            f = objective([c[q] if go_left else d[q] for q, go_left in zip(active, left)])
-            for q, go_left, v in zip(active, left, f):
-                (fc if go_left else fd)[q] = v
+                    a = lo[q] = c[q]
+                    c[q], fc[q] = d[q], fd[q]
+                    x = d[q] = a + _GOLDEN * (b - a)
+                    slots.append(fd)
+                new.append(x)
+                if b - a > 1e-14 * (b if b > 1.0 else 1.0):
+                    kept.append(q)
+            for q, slot, v in zip(active, slots, objective(new)):
+                slot[q] = v
+            active = kept
         mids = [0.5 * (a + b) for a, b in zip(lo, hi)]
         vals = objective(mids)
         vmax = max(vals)
         tied = [x for x, v in zip(mids, vals) if v >= vmax - _LEJA_TIE_TOL * max(1.0, abs(vmax))]
         pts.append(min(tied))
-        cols[:, k : k + 1] = _log_distances(xs, pts[k:])
     return np.array(pts)
 
 
@@ -242,19 +300,30 @@ def _recurrence_rows(a, v, rows, params):
 
     Each step applies the operations of ((A w - theta w) - mu w_prev) / gamma
     in that order, in place, so the row is bitwise that expression's value.
+    A step skips the multiply and subtract when theta is 0 and the divide
+    when gamma is 1: on finite rows both are identities, since the CSR
+    product starts each entry from +0.0 and so never returns -0.0. One
+    finiteness check covers the whole recurrence; it names the first
+    non-finite degree, as a check after every step would.
     """
+    th, ga, mu = params.thetas, params.gammas, params.mus
     rows[0] = v
     for l in range(len(rows) - 1):
         w = rows[l + 1]
         av = spmv(a, rows[l])
-        np.multiply(rows[l], params.thetas[l], out=w)
-        np.subtract(av, w, out=w)
-        if l >= 1 and params.mus[l - 1] != 0.0:
-            np.multiply(rows[l - 1], params.mus[l - 1], out=av)
+        if th[l] == 0.0:
+            w[...] = av
+        else:
+            np.multiply(rows[l], th[l], out=w)
+            np.subtract(av, w, out=w)
+        if l >= 1 and mu[l - 1] != 0.0:
+            np.multiply(rows[l - 1], mu[l - 1], out=av)
             np.subtract(w, av, out=w)
-        np.divide(w, params.gammas[l], out=w)
-        if not np.all(np.isfinite(w)):
-            raise BasisBreakdownError(f"non-finite basis column at degree {l + 1}")
+        if ga[l] != 1.0:
+            np.divide(w, ga[l], out=w)
+    if not np.isfinite(rows[1:]).all():
+        degree = int(np.argmin(np.isfinite(rows[1:]).all(axis=1))) + 1
+        raise BasisBreakdownError(f"non-finite basis column at degree {degree}")
 
 
 def build_block(a, p, r, params, s, out=None):

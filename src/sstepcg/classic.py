@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lacore import spmv
@@ -44,11 +46,11 @@ def hscg_solve(problem, eps_star, max_iters=None):
     a, b = problem.a, problem.b
     if max_iters is None:
         max_iters = 100 * a.n
-    nb = np.linalg.norm(b)
+    nb = math.sqrt(b @ b)
     x = problem.x0.copy()
     r = b - spmv(a, x)
     p = r.copy()
-    true_rel = upd_rel = np.linalg.norm(r) / nb
+    true_rel = upd_rel = math.sqrt(r @ r) / nb
     trace = SolveTrace()
     coeffs = CgCoefficients()
     ritz = RitzState()
@@ -62,7 +64,7 @@ def hscg_solve(problem, eps_star, max_iters=None):
         ap = spmv(a, p)
         rr = float(np.dot(r, r))
         pap = float(np.dot(p, ap))
-        if pap <= 0.0 or not np.isfinite(pap):
+        if pap <= 0.0 or not math.isfinite(pap):
             trace.diverged = True
             break
         alpha = rr / pap
@@ -80,13 +82,14 @@ def hscg_solve(problem, eps_star, max_iters=None):
         except BreakdownSignal:
             pass  # the pair stays out of the Ritz estimates
         true_vec = b - spmv(a, x)
-        true_rel = np.linalg.norm(true_vec) / nb
-        upd_rel = np.linalg.norm(r) / nb
+        true_rel = math.sqrt(true_vec @ true_vec) / nb
+        upd_rel = math.sqrt(r @ r) / nb
+        gap = true_vec - r
         trace.mark_outer(1)
         trace.record_iteration(
             true_rel,
             upd_rel,
-            np.linalg.norm(true_vec - r),
+            math.sqrt(gap @ gap),
             ritz.xi_estimate(),
             ritz.lambda_min,
             ritz.lambda_max,

@@ -16,6 +16,7 @@ from .harness import (
     ResultRow,
     emit_summary_table,
     emit_trace_csv,
+    round_up_2sig,
     run_grid,
 )
 from .matio import load_problem
@@ -27,9 +28,7 @@ def _solve(args):
     problem = load_problem(args.matrix)
     eps_star = args.eps_star
     if args.eps_star_mode == "hscg-attainable":
-        from .harness import round_up_2sig
-
-        eps_star = round_up_2sig(hscg_attainable_accuracy(problem))
+        eps_star = round_up_2sig(hscg_attainable_accuracy(problem, max_iters=args.max_iters))
         print(f"eps* (hscg attainable) = {eps_star:.2e}")
     if args.alg == "hscg":
         _, trace, _ = hscg_solve(problem, eps_star, max_iters=args.max_iters)

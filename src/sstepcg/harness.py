@@ -160,28 +160,38 @@ TRACE_HEADER = (
 )
 
 
+# one trace CSV line: global and outer iteration, s_k, then six reals
+_TRACE_LINE = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def emit_trace_csv(trace, path):
     """One line per global iteration, full 17-significant-digit decimals."""
-    outer_of = np.zeros(trace.total_iters, dtype=int)
-    s_of = np.zeros(trace.total_iters, dtype=int)
+    n = trace.total_iters
+    outer_of = np.zeros(n, dtype=int)
+    s_of = np.zeros(n, dtype=int)
     for outer, (start, s_k) in enumerate(zip(trace.outer_marks, trace.s_schedule)):
         end = (
             trace.outer_marks[outer + 1]
             if outer + 1 < len(trace.outer_marks)
-            else trace.total_iters
+            else n
         )
         outer_of[start:end] = outer
         s_of[start:end] = s_k
+    # Python ints and floats format faster than NumPy scalars
+    rows = zip(
+        range(1, n + 1),
+        (outer_of + 1).tolist(),
+        s_of.tolist(),
+        trace.true_resid,
+        trace.upd_resid,
+        trace.resid_gap,
+        trace.lambda_min,
+        trace.lambda_max,
+        trace.c_values,
+    )
     with open(path, "w") as f:
         f.write(TRACE_HEADER + "\n")
-        for i in range(trace.total_iters):
-            f.write(
-                f"{i + 1},{outer_of[i] + 1},{s_of[i]},"
-                f"{trace.true_resid[i]:.17g},{trace.upd_resid[i]:.17g},"
-                f"{trace.resid_gap[i]:.17g},{trace.lambda_min[i]:.17g},"
-                f"{trace.lambda_max[i]:.17g},{trace.c_values[i]:.17g}"
-            )
-            f.write("\n")
+        f.writelines(_TRACE_LINE % row for row in rows)
     return path
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ class _RunState:
         or stagnated flag accordingly."""
         if true_rel <= eps_star:
             trace.converged = True
-        elif not np.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
+        elif not math.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
             trace.diverged = True
         elif true_rel < self.best:
             self.best = true_rel

@@ -5,6 +5,7 @@ from conftest import dense_to_sparse, random_spd
 from sstepcg.basis import (
     BasisBreakdownError,
     ParameterError,
+    _pairwise_sum,
     assemble_change_of_basis,
     build_block,
     chebyshev_params,
@@ -160,11 +161,13 @@ def reference_leja_points(lmin, lmax, count, grid_points=10000):
 
 
 # (lmin, lmax, count, grid_points): the lmin = 0 interval whose interior
-# points tie at noise level, every count from 1 to 16 (sums of 8 or more
-# log terms are reduced pairwise), three grid sizes, widths 1e-3 to 1e4
+# points tie at noise level, every count from 1 to 18 (sums of 8 or more
+# log terms are reduced pairwise; counts 17 and 18 are the first whose
+# sums take a second pass through the 8 accumulators), three grid sizes,
+# widths 1e-3 to 1e4
 LEJA_CASES = (
     [(0.0, 1.0, 10, 10000), (0.0, 4.0, 4, 10000)]
-    + [(1e-3, 2.0, count, 10000) for count in range(1, 17)]
+    + [(1e-3, 2.0, count, 10000) for count in range(1, 19)]
     + [(0.37, 0.37 + 10.0 ** e, 10, 10000) for e in range(-3, 5)]
     + [(lmin, lmax, count, grid) for grid in (1000, 20000)
        for lmin, lmax, count in ((1e-6, 1.0, 12), (2.5, 3.5, 9), (0.0, 1e4, 16))]
@@ -182,6 +185,33 @@ class TestLejaBits:
         ref = reference_leja_points(lmin, lmax, count, grid)
         got = leja_points(lmin, lmax, count, grid_points=grid)
         assert np.array_equal(got, ref), got - ref
+
+
+class TestGridObjectiveBits:
+    """The grid objective adds one log-distance vector per chosen point in
+    the order np.sum reduces each row of their column stack."""
+
+    @staticmethod
+    def _columns(k, seed):
+        rng = np.random.default_rng(seed)
+        cols = np.empty((1001, k + 2))
+        # magnitudes 1e-8 to 1e8, so any other order rounds differently
+        cols[:, :k] = rng.standard_normal((1001, k)) * 10.0 ** rng.integers(-8, 9, size=k)
+        return cols[:, :k], [np.ascontiguousarray(cols[:, j]) for j in range(k)]
+
+    @pytest.mark.parametrize("k", list(range(1, 19)) + [130, 300])
+    def test_equals_numpy_row_sum(self, k):
+        cols, terms = self._columns(k, 70 + k)
+        assert _pairwise_sum(terms).tobytes() == np.sum(cols, axis=1).tobytes()
+
+    def test_running_sum_equals_numpy_row_sum(self):
+        # as the Leja scan uses it: one more term per point, with the sum
+        # over the terms before it
+        cols, terms = self._columns(140, 69)
+        obj = None
+        for k in range(1, 141):
+            obj = _pairwise_sum(terms[:k], obj)
+            assert obj.tobytes() == np.sum(cols[:, :k], axis=1).tobytes(), k
 
 
 class TestChebyshevParams:
@@ -365,6 +395,36 @@ class TestBuildBlockBits:
         np.testing.assert_array_equal(in_buf.g, g_ref)
         assert in_buf.y.flags.f_contiguous
         assert np.shares_memory(in_buf.y, buf)
+
+    @pytest.mark.parametrize("kind", ["monomial", "newton", "chebyshev"])
+    def test_exact_zeros_keep_bits(self, kind):
+        # empty rows of A give products of exactly +0.0 beside negative and
+        # signed-zero entries: the steps a zero theta or a unit gamma skips
+        # must not change the sign of any zero
+        rng = np.random.default_rng(64)
+        n, s = 60, 4
+        a_dense = random_spd(n, 1e2, seed=65)
+        a_dense[::3, :] = 0.0
+        a = dense_to_sparse(a_dense)
+        p = -np.abs(rng.standard_normal(n))
+        p[::5] = -0.0
+        r = rng.standard_normal(n)
+        params = params_for(kind, s, 0.5, 2.0)
+        y_ref, g_ref = reference_block(a, p, r, params, s)
+        block = build_block(a, p, r, params, s)
+        assert np.ascontiguousarray(block.y).tobytes() == y_ref.tobytes()
+        assert block.g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["monomial", "newton", "chebyshev"])
+    @pytest.mark.parametrize("scale, degree", [(1e200, 2), (1e120, 3), (1e80, 4)])
+    def test_names_first_non_finite_degree(self, kind, scale, degree):
+        # the rows past the first non-finite one are computed too (one
+        # check per recurrence), but the error names the first
+        a = dense_to_sparse(np.diag([1.0, scale, 2.0]))
+        v = np.ones(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BasisBreakdownError, match=f"degree {degree}$"):
+                build_block(a, v, v, params_for(kind, 5, 0.5, 2.0), 5)
 
     def test_non_finite_column_raises(self):
         a = dense_to_sparse(np.diag([1.0, 1e300, 2.0]))

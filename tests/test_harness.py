@@ -9,6 +9,7 @@ from sstepcg.classic import hscg_solve
 from sstepcg import cli
 from sstepcg.cli import main as cli_main
 from sstepcg.harness import (
+    TRACE_HEADER,
     ExperimentSpec,
     ResultRow,
     emit_summary_table,
@@ -17,6 +18,7 @@ from sstepcg.harness import (
     run_grid,
 )
 from sstepcg.matio import load_problem
+from sstepcg.trace import SolveTrace
 
 
 REPRODUCTION_SPEC = os.path.join(os.path.dirname(__file__), "..", "experiments", "reproduction_grid.spec")
@@ -91,7 +93,53 @@ class TestRunGrid:
             assert len(outer_ids) == row.total_outer
 
 
+def reference_trace_csv(trace):
+    """The line-at-a-time trace formatter, kept as the reference for the
+    byte layout of emit_trace_csv."""
+    outer_of = np.zeros(trace.total_iters, dtype=int)
+    s_of = np.zeros(trace.total_iters, dtype=int)
+    for outer, (start, s_k) in enumerate(zip(trace.outer_marks, trace.s_schedule)):
+        end = (
+            trace.outer_marks[outer + 1]
+            if outer + 1 < len(trace.outer_marks)
+            else trace.total_iters
+        )
+        outer_of[start:end] = outer
+        s_of[start:end] = s_k
+    out = [TRACE_HEADER + "\n"]
+    for i in range(trace.total_iters):
+        out.append(
+            f"{i + 1},{outer_of[i] + 1},{s_of[i]},"
+            f"{trace.true_resid[i]:.17g},{trace.upd_resid[i]:.17g},"
+            f"{trace.resid_gap[i]:.17g},{trace.lambda_min[i]:.17g},"
+            f"{trace.lambda_max[i]:.17g},{trace.c_values[i]:.17g}\n"
+        )
+    return "".join(out)
+
+
 class TestEmitTraceCsv:
+    def test_bytes_equal_reference_formatter(self, tmp_path):
+        special = [1.0, 1 / 3, 1e-300, 5e-324, -0.0, 0.1, np.inf, -np.inf, np.nan, 2.0**60, -1.5e-17]
+        trace = SolveTrace()
+        i = 0
+        # (s_k, iterations run): the last outer loop records none, as in a
+        # run that breaks down at its first step
+        for s_k, iters in ((3, 3), (1, 1), (4, 4), (2, 2), (5, 0)):
+            trace.mark_outer(s_k)
+            for _ in range(iters):
+                trace.record_iteration(*[special[(i + j) % len(special)] for j in range(7)])
+                i += 1
+        path = tmp_path / "special.csv"
+        emit_trace_csv(trace, str(path))
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+    def test_solver_trace_bytes_equal_reference_formatter(self, bus494_problem, tmp_path):
+        cfg = AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind="newton")
+        _, trace, _ = adaptive_solve(bus494_problem, cfg)
+        path = tmp_path / "bus.csv"
+        emit_trace_csv(trace, str(path))
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+
     def test_identity_two_line_file(self, tmp_path):
         prob = load_problem(_identity_mm(tmp_path), label="id")
         _, trace, _ = hscg_solve(prob, 1e-9)
@@ -182,6 +230,25 @@ class TestCli:
         rc = cli_main(["report", "--rows", rows_csv, "--format", "markdown", "--out", table])
         assert rc == 0
         assert os.path.exists(table)
+
+    def test_attainable_mode_passes_iteration_budget(self, tmp_path, monkeypatch, capsys):
+        # the HSCG floor of --eps-star-mode hscg-attainable runs under the
+        # same --max-iters budget as the solve, as run_grid does with
+        # the spec's max_iters
+        mm = _identity_mm(tmp_path)
+        budgets = []
+        floor = cli.hscg_attainable_accuracy
+
+        def spy(problem, max_iters=None):
+            budgets.append(max_iters)
+            return floor(problem, max_iters=max_iters)
+
+        monkeypatch.setattr(cli, "hscg_attainable_accuracy", spy)
+        argv = ["solve", "--matrix", mm, "--alg", "hscg", "--eps-star-mode", "hscg-attainable"]
+        assert cli_main(argv + ["--max-iters", "3"]) == 0
+        assert cli_main(argv) == 0
+        assert budgets == [3, None]
+        assert "eps* (hscg attainable)" in capsys.readouterr().out
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["solve", "--matrix", "/nonexistent.mtx", "--alg", "hscg"])
