@@ -30,7 +30,7 @@ from .matio import (
     load_problem,
     read_matrix_market,
 )
-from .ritz import MACHINE_UNIT, LmaxEstimator, LminEstimator, RitzState, c_strategy
+from .ritz import MACHINE_UNIT, RitzState, c_strategy
 from .sstep import CoordState, recover_iterates, sstep_solve
 from .trace import CgCoefficients, SolveTrace
 
@@ -40,8 +40,6 @@ __all__ = [
     "CgCoefficients",
     "CoordState",
     "ExperimentSpec",
-    "LmaxEstimator",
-    "LminEstimator",
     "MACHINE_UNIT",
     "OuterLoopRecord",
     "ProblemInstance",

@@ -40,9 +40,9 @@ from .basis import (
     build_block,
     params_for,
 )
-from .lacore import nested_basis_conds, spmv
-from .ritz import C_STRATEGIES, MACHINE_UNIT, BreakdownSignal, RitzState, abs_matrix_norm, c_strategy
-from .trace import CgCoefficients, SolveTrace, _RunState
+from .lacore import nested_basis_conds
+from .ritz import C_STRATEGIES, MACHINE_UNIT, abs_matrix_norm, c_strategy
+from .trace import _Run
 
 
 @dataclass
@@ -168,7 +168,9 @@ def _blocked_solve(problem, cfg, fixed):
 
     fixed=True is fixed s-step CG at s = cfg.sigma: the block is used as
     built, with no truncation and no break test, and a monomial cfg skips
-    the parameter refresh.
+    the parameter refresh. The run state (`trace._Run`) forms r0, records
+    each iteration and applies the stopping rules; this loop keeps the Gram
+    and coordinate-space arithmetic.
 
     Each value is formed once. The SpMVs are one for r0, 2 s_bar - 1 per
     basis and one per iteration for the true residual. The last iteration's
@@ -179,23 +181,19 @@ def _blocked_solve(problem, cfg, fixed):
     rr_new), and a block keeps the c that selected it unless full-bound c
     must bound a truncated block.
     """
-    a, b = problem.a, problem.b
-    nb = math.sqrt(b @ b)
+    a = problem.a
+    run = _Run(problem, cfg.eps_star)
+    trace, ritz, nb = run.trace, run.ritz, run.nb
 
     x = problem.x0.copy()
-    r = b - spmv(a, x)
+    r = run.start(x)
     p = r.copy()
-    true_rel = upd_rel = math.sqrt(r @ r) / nb
     # One basis buffer and one work buffer per solve, flat so that the
     # leading (2s+1) n entries form a contiguous (2s+1, n) array for every
     # s <= sigma, and the loop below allocates no n x (2s+1) array.
     basis_buf = np.empty((2 * cfg.sigma + 1) * a.n)
     work_buf = np.empty_like(basis_buf)
 
-    trace = SolveTrace()
-    coeffs = CgCoefficients()
-    ritz = RitzState()
-    run = _RunState()
     # no spectral interval is known yet: the monomial basis for every kind
     params = params_for(cfg.basis_kind, cfg.sigma)
 
@@ -209,7 +207,7 @@ def _blocked_solve(problem, cfg, fixed):
 
     s_prev = None
     for k in range(cfg.max_outer):
-        if run.stop(trace, true_rel, upd_rel, cfg.eps_star):
+        if run.stop():
             break
         s_bar = cfg.s_bar0 if k == 0 else min(s_prev + cfg.f, cfg.sigma)
         try:
@@ -233,7 +231,7 @@ def _blocked_solve(problem, cfg, fixed):
             # refreshes it per iteration only through the Ritz-state strategies
             c_block = strategy_c(s_bar, block.b_mat)
             s_tilde, conds = select_s_tilde(
-                block.g, s_bar, c_block, MACHINE_UNIT, cfg.eps_star, upd_rel
+                block.g, s_bar, c_block, MACHINE_UNIT, cfg.eps_star, run.upd_rel
             )
             if s_tilde == s_bar:
                 trunc = block
@@ -272,32 +270,13 @@ def _blocked_solve(problem, cfg, fixed):
             beta = rr_new / num
             coords.pp = coords.rp + beta * coords.pp
             coords.j = j + 1
-            coeffs.append(alpha, beta)
-            try:
-                ritz.absorb_step(alpha, beta)
-            except BreakdownSignal:
-                pass  # the pair stays out of the Ritz estimates
             num = rr_new
 
             est_rel = math.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
 
             # the trace needs x_j and r_j only; p waits for the outer boundary
-            x_j = x + trunc.y @ coords.xp
-            r_j = trunc.y @ coords.rp
-            tv = b - spmv(a, x_j)
-            true_rel = math.sqrt(tv @ tv) / nb
-            upd_rel = math.sqrt(r_j @ r_j) / nb
-            gap = tv - r_j
-            trace.record_iteration(
-                true_rel,
-                upd_rel,
-                math.sqrt(gap @ gap),
-                ritz.xi_estimate(),
-                ritz.lambda_min,
-                ritz.lambda_max,
-                ritz.psi,
-            )
+            run.step(alpha, beta, x + trunc.y @ coords.xp, trunc.y @ coords.rp)
 
             # negative quadratures are Gram noise, not convergence
             if rr_new >= 0.0 and est_rel <= cfg.eps_star and j < s_tilde - 1:
@@ -330,9 +309,7 @@ def _blocked_solve(problem, cfg, fixed):
             if 0.0 < lmin < lmax and (lmin, lmax) != params.generated_from:
                 params = params_for(cfg.basis_kind, cfg.sigma, lmin, lmax)
 
-    if not trace.ended:
-        run.out_of_budget(trace, true_rel, cfg.eps_star)
-    trace.check_consistency()
+    trace, coeffs = run.finish()
     return x, trace, coeffs
 
 

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from .lacore import spmv
-from .ritz import RitzState, BreakdownSignal
-from .trace import CgCoefficients, SolveTrace, _RunState
+from .trace import _Run
 
 
 def assemble_tridiag(coeffs, i):
@@ -43,60 +42,33 @@ def hscg_solve(problem, eps_star, max_iters=None):
 
     Returns (x, SolveTrace, CgCoefficients).
     """
-    a, b = problem.a, problem.b
+    a = problem.a
     if max_iters is None:
         max_iters = 100 * a.n
-    nb = math.sqrt(b @ b)
+    run = _Run(problem, eps_star)
     x = problem.x0.copy()
-    r = b - spmv(a, x)
+    r = run.start(x)
     p = r.copy()
-    true_rel = upd_rel = math.sqrt(r @ r) / nb
-    trace = SolveTrace()
-    coeffs = CgCoefficients()
-    ritz = RitzState()
-
-    run = _RunState()
-    i = 0
-    while i < max_iters:
-        if run.stop(trace, true_rel, upd_rel, eps_star):
+    for _ in range(max_iters):
+        if run.stop():
             break
 
         ap = spmv(a, p)
         rr = float(np.dot(r, r))
         pap = float(np.dot(p, ap))
         if pap <= 0.0 or not math.isfinite(pap):
-            trace.diverged = True
+            run.trace.diverged = True
             break
         alpha = rr / pap
-        q = alpha * p
-        x = x + q
+        x = x + alpha * p
         r = r - alpha * ap
         rr_new = float(np.dot(r, r))
         beta = rr_new / rr
-        coeffs.append(alpha, beta)
         p = r + beta * p
-        i += 1
 
-        try:
-            ritz.absorb_step(alpha, beta)
-        except BreakdownSignal:
-            pass  # the pair stays out of the Ritz estimates
-        true_vec = b - spmv(a, x)
-        true_rel = math.sqrt(true_vec @ true_vec) / nb
-        upd_rel = math.sqrt(r @ r) / nb
-        gap = true_vec - r
-        trace.mark_outer(1)
-        trace.record_iteration(
-            true_rel,
-            upd_rel,
-            math.sqrt(gap @ gap),
-            ritz.xi_estimate(),
-            ritz.lambda_min,
-            ritz.lambda_max,
-            ritz.psi,
-        )
-    if not trace.ended:
-        run.out_of_budget(trace, true_rel, eps_star)
+        run.trace.mark_outer(1)
+        run.step(alpha, beta, x, r)
+    trace, coeffs = run.finish()
     return x, trace, coeffs
 
 

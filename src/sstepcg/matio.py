@@ -38,7 +38,6 @@ class SparseMatrix:
     col_idx: np.ndarray
     values: np.ndarray
     n_a: int
-    is_symmetric: bool = True
     _csr: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -71,7 +70,7 @@ class SparseMatrix:
         return d.nnz == 0
 
 
-def from_coo(n, rows, cols, vals, is_symmetric=True):
+def from_coo(n, rows, cols, vals):
     """Build a SparseMatrix from coordinate data, summing duplicates."""
     coo = _sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     csr = coo.tocsr()
@@ -84,7 +83,6 @@ def from_coo(n, rows, cols, vals, is_symmetric=True):
         col_idx=csr.indices.copy(),
         values=csr.data.copy(),
         n_a=n_a,
-        is_symmetric=is_symmetric,
     )
 
 
@@ -162,7 +160,7 @@ def read_matrix_market(path):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
-    a = from_coo(n, rows, cols, vals, is_symmetric=True)
+    a = from_coo(n, rows, cols, vals)
     if sym == "general" and not a.pattern_is_symmetric():
         raise MatrixMarketError("general file without structurally symmetric pattern")
     return a
@@ -205,8 +203,9 @@ def jacobi_precondition(a):
 
     D holds the largest (signed) stored entry of each row; for an SPD matrix
     these are positive since the diagonal is. Returns (A_hat, d^{-1/2}).
-    Off-diagonal pairs are scaled once and mirrored, so A_hat is bitwise
-    symmetric.
+    A_hat shares A's row_ptr and col_idx. Each entry (i, j) is divided by
+    root[min(i, j)] * root[max(i, j)], so (i, j) and (j, i) round
+    identically and A_hat is bitwise symmetric.
     """
     d = a.row_max()
     if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
@@ -214,15 +213,10 @@ def jacobi_precondition(a):
         raise DegenerateMatrixError(f"row {bad} has nonpositive maximum {d[bad]!r}")
     root = np.sqrt(d)
 
-    n = a.n
-    rows = np.repeat(np.arange(n), np.diff(a.row_ptr))
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
     cols = a.col_idx
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    # canonical factor order makes (i, j) and (j, i) round identically
-    scaled = a.values / (root[lo] * root[hi])
-    out = from_coo(n, rows, cols, scaled, is_symmetric=True)
-    return out, 1.0 / root
+    scaled = a.values / (root[np.minimum(rows, cols)] * root[np.maximum(rows, cols)])
+    return SparseMatrix(a.n, a.row_ptr, cols, scaled, a.n_a), 1.0 / root
 
 
 def build_rhs(n):

@@ -18,7 +18,7 @@ lambda_min from above. At i = 2 both are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import copysign, inf, sqrt
 
 import numpy as np
@@ -28,88 +28,20 @@ MACHINE_UNIT = 2.0 ** -53
 
 
 class BreakdownSignal(ValueError):
-    """Raised when a nonpositive or non-finite alpha or beta is fed to the estimators."""
-
-
-@dataclass
-class LmaxEstimator:
-    """Incremental estimate of ||L_i||^2 (largest Ritz value).
-
-    State per step: the running omega, the last squared-direction weight h,
-    and the previous diagonal entry zeta needed by the next update.
-    """
-
-    omega: float = 0.0
-    h: float = 1.0
-    last_zeta: float = 0.0
-    initialized: bool = False
-    count: int = 0
-
-    def absorb(self, zeta, eta_prev):
-        if not self.initialized:
-            self.omega = zeta * zeta
-            self.last_zeta = zeta
-            self.initialized = True
-            self.count = 1
-            return
-        d = (self.last_zeta * eta_prev) ** 2 * self.h
-        a = eta_prev * eta_prev + zeta * zeta
-        chi = sqrt((self.omega - a) ** 2 + 4.0 * d)
-        h_new = 0.5 * (1.0 - (self.omega - a) / chi) if chi != 0.0 else 0.0
-        self.omega += chi * h_new
-        self.h = h_new
-        self.last_zeta = zeta
-        self.count += 1
-
-
-@dataclass
-class LminEstimator:
-    """Incremental estimate of ||L_i^{-1}||^2; its inverse is the smallest Ritz value.
-
-    The columns of L_i^{-T} obey c_{l+1} = -(eta_l / zeta_{l+1}) c_l +
-    e_{l+1} / zeta_{l+1}, giving the recurrences for the column norm a and
-    the overlap d with the running approximate singular direction (split
-    into components g and h).
-    """
-
-    omega: float = 0.0
-    a: float = 0.0
-    d: float = 0.0
-    g: float = 0.0
-    h: float = 1.0
-    initialized: bool = False
-    count: int = 0
-
-    def absorb(self, zeta, eta_prev):
-        if not self.initialized:
-            self.omega = 1.0 / (zeta * zeta)
-            self.a = self.omega
-            self.initialized = True
-            self.count = 1
-            return
-        d_new = -(eta_prev / zeta) * (self.g * self.d + self.h * self.a)
-        a_new = (eta_prev * eta_prev * self.a + 1.0) / (zeta * zeta)
-        chi = sqrt((self.omega - a_new) ** 2 + 4.0 * d_new * d_new)
-        if chi != 0.0:
-            h_sq = 0.5 * (1.0 - (self.omega - a_new) / chi)
-            h_sq = min(max(h_sq, 0.0), 1.0)
-        else:
-            h_sq = 0.0
-        self.omega += chi * h_sq
-        self.g = sqrt(1.0 - h_sq)
-        self.h = copysign(sqrt(h_sq), d_new)
-        self.d = d_new
-        self.a = a_new
-        self.count += 1
-
-    @property
-    def lambda_min(self):
-        return 1.0 / self.omega
+    """Raised when a nonpositive or non-finite alpha or beta is fed to the estimates."""
 
 
 @dataclass
 class RitzState:
     """Running extremal Ritz estimates, psi, and the error-ratio constant c.
+
+    omega_max estimates ||L_i||^2 (the largest Ritz value), with h_max its
+    last squared-direction weight and zeta the last diagonal entry.
+    omega_min estimates ||L_i^{-1}||^2 (the inverse of the smallest): the
+    columns of L_i^{-T} obey c_{l+1} = -(eta_l / zeta_{l+1}) c_l +
+    e_{l+1} / zeta_{l+1}, giving recurrences for the column norm a and the
+    overlap d with the running singular direction (components g and h).
+    eta is the superdiagonal entry the next step couples to.
 
     psi tracks ||r||^2 / ||p||^2 through psi <- psi / (psi + beta). Once two
     iterations have been absorbed, c is
@@ -120,19 +52,25 @@ class RitzState:
     is the conservative initial value 1/sqrt(machine unit).
     """
 
-    lmax_est: LmaxEstimator = field(default_factory=LmaxEstimator)
-    lmin_est: LminEstimator = field(default_factory=LminEstimator)
+    omega_max: float = 0.0
+    h_max: float = 1.0
+    zeta: float = 0.0
+    omega_min: float = 0.0
+    a: float = 0.0
+    d: float = 0.0
+    g: float = 0.0
+    h: float = 1.0
+    eta: float = 0.0
     psi: float = 1.0
     count: int = 0
-    _eta_next: float = 0.0
 
     @property
     def lambda_max(self):
-        return self.lmax_est.omega if self.count >= 1 else float("nan")
+        return self.omega_max if self.count >= 1 else float("nan")
 
     @property
     def lambda_min(self):
-        return self.lmin_est.lambda_min if self.count >= 1 else float("nan")
+        return 1.0 / self.omega_min if self.count >= 1 else float("nan")
 
     def absorb_step(self, alpha, beta):
         """Absorb one CG iteration's (alpha, beta) pair.
@@ -143,10 +81,34 @@ class RitzState:
         if not (0.0 < alpha < inf and 0.0 < beta < inf):
             raise BreakdownSignal(f"breakdown coefficients alpha={alpha!r} beta={beta!r}")
         zeta = 1.0 / sqrt(alpha)
-        eta_prev = self._eta_next
-        self.lmax_est.absorb(zeta, eta_prev)
-        self.lmin_est.absorb(zeta, eta_prev)
-        self._eta_next = sqrt(beta / alpha)
+        eta = self.eta
+        if self.count == 0:
+            self.omega_max = zeta * zeta
+            self.omega_min = 1.0 / (zeta * zeta)
+            self.a = self.omega_min
+        else:
+            d_max = (self.zeta * eta) ** 2 * self.h_max
+            a_max = eta * eta + zeta * zeta
+            chi = sqrt((self.omega_max - a_max) ** 2 + 4.0 * d_max)
+            h_new = 0.5 * (1.0 - (self.omega_max - a_max) / chi) if chi != 0.0 else 0.0
+            self.omega_max += chi * h_new
+            self.h_max = h_new
+
+            d_new = -(eta / zeta) * (self.g * self.d + self.h * self.a)
+            a_new = (eta * eta * self.a + 1.0) / (zeta * zeta)
+            chi = sqrt((self.omega_min - a_new) ** 2 + 4.0 * d_new * d_new)
+            if chi != 0.0:
+                h_sq = 0.5 * (1.0 - (self.omega_min - a_new) / chi)
+                h_sq = min(max(h_sq, 0.0), 1.0)
+            else:
+                h_sq = 0.0
+            self.omega_min += chi * h_sq
+            self.g = sqrt(1.0 - h_sq)
+            self.h = copysign(sqrt(h_sq), d_new)
+            self.d = d_new
+            self.a = a_new
+        self.zeta = zeta
+        self.eta = sqrt(beta / alpha)
         self.psi = self.psi / (self.psi + beta)
         self.count += 1
 

@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lacore import spmv
+from .ritz import BreakdownSignal, RitzState
+
 
 @dataclass
 class CgCoefficients:
@@ -92,28 +95,62 @@ STAGNATION_WINDOW = 200
 DIVERGENCE_LIMIT = 1e5
 
 
-class _RunState:
-    """Stopping rules for every solver: convergence, divergence, stagnation.
+class _Run:
+    """The run state every solver shares: residual records, Ritz estimates,
+    the one place a breakdown pair is dropped, and the stopping rules.
 
-    The classic and the blocked solvers consult it before each step with the
-    true and updated residuals of the current iterate, relative to ||b||, as
-    the last iteration recorded them (both ||r0|| / ||b|| at the start), and
-    call out_of_budget when their iteration budget runs out first.
-    Stagnation means the true residual has hit its attainable floor: no new
-    minimum inside the window AND the updated residual r has collapsed well
-    below the true one (the residual-gap signature of the floor). Mid-run
-    plateaus where both residuals still agree -- routine in delayed s-step
-    convergence -- must keep iterating.
+    `start` forms r0 = b - A x0; `step` records one CG iteration; `stop` is
+    consulted before each step and `finish` ends the run. The stopping rules
+    read the true and updated residuals of the current iterate, relative to
+    ||b||, as the last iteration recorded them (both ||r0|| / ||b|| at the
+    start). Stagnation means the true residual has hit its attainable floor:
+    no new minimum inside the window AND the updated residual r has collapsed
+    well below the true one (the residual-gap signature of the floor).
+    Mid-run plateaus where both residuals still agree -- routine in delayed
+    s-step convergence -- must keep iterating.
     """
 
-    def __init__(self):
+    def __init__(self, problem, eps_star):
+        self.a, self.b = problem.a, problem.b
+        self.nb = math.sqrt(self.b @ self.b)
+        self.eps_star = eps_star
+        self.trace = SolveTrace()
+        self.coeffs = CgCoefficients()
+        self.ritz = RitzState()
+        self.true_rel = self.upd_rel = np.nan
         self.best = np.inf
         self.best_iter = 0
 
-    def stop(self, trace, true_rel, upd_rel, eps_star):
+    def start(self, x):
+        """Return r0 = b - A x and record its relative norm as both residuals."""
+        r = self.b - spmv(self.a, x)
+        self.true_rel = self.upd_rel = math.sqrt(r @ r) / self.nb
+        return r
+
+    def step(self, alpha, beta, x, r):
+        """Record one iteration: its (alpha, beta) pair, then the true residual
+        b - A x against the updated residual r. A pair the Ritz state rejects
+        stays in the coefficients but out of the Ritz estimates."""
+        self.coeffs.append(alpha, beta)
+        ritz = self.ritz
+        try:
+            ritz.absorb_step(alpha, beta)
+        except BreakdownSignal:
+            pass
+        tv = self.b - spmv(self.a, x)
+        self.true_rel = math.sqrt(tv @ tv) / self.nb
+        self.upd_rel = math.sqrt(r @ r) / self.nb
+        gap = tv - r
+        self.trace.record_iteration(
+            self.true_rel, self.upd_rel, math.sqrt(gap @ gap),
+            ritz.xi_estimate(), ritz.lambda_min, ritz.lambda_max, ritz.psi,
+        )
+
+    def stop(self):
         """True when the run must stop; sets the trace's converged, diverged
         or stagnated flag accordingly."""
-        if true_rel <= eps_star:
+        trace, true_rel = self.trace, self.true_rel
+        if true_rel <= self.eps_star:
             trace.converged = True
         elif not math.isfinite(true_rel) or true_rel > DIVERGENCE_LIMIT:
             trace.diverged = True
@@ -122,15 +159,18 @@ class _RunState:
             self.best_iter = trace.total_iters
         elif (
             trace.total_iters - self.best_iter >= STAGNATION_WINDOW
-            and upd_rel <= 0.01 * true_rel
+            and self.upd_rel <= 0.01 * true_rel
         ):
             trace.stagnated = True
         return trace.ended
 
-    def out_of_budget(self, trace, true_rel, eps_star):
-        """End a run that used up its iteration budget without stopping:
-        converged if its true residual passes, stagnated otherwise."""
-        if true_rel <= eps_star:
-            trace.converged = True
-        else:
-            trace.stagnated = True
+    def finish(self):
+        """End the run, check the trace and return (trace, coeffs). A run that
+        used up its iteration budget without stopping ends converged if its
+        true residual passes, stagnated otherwise."""
+        trace = self.trace
+        if not trace.ended:
+            trace.converged = self.true_rel <= self.eps_star
+            trace.stagnated = not trace.converged
+        trace.check_consistency()
+        return trace, self.coeffs

@@ -149,10 +149,10 @@ class TestEmitTraceCsv:
         assert len(lines) == 2
         assert lines[0].startswith("global_iter,outer_iter,s_k,rel_true_resid")
 
-    def test_row_count_matches_iterations(self, bus494_problem):
+    def test_row_count_matches_iterations(self, bus494_problem, tmp_path):
         cfg = AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind="newton")
         _, trace, _ = adaptive_solve(bus494_problem, cfg)
-        path = "/tmp/trace_rowcount.csv"
+        path = str(tmp_path / "rowcount.csv")
         emit_trace_csv(trace, path)
         lines = open(path).read().strip().splitlines()
         assert len(lines) - 1 == trace.total_iters

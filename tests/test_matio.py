@@ -170,10 +170,7 @@ class TestReadMatrixMarket:
 class TestRowMax:
     def test_empty_rows_match_per_row_loop(self):
         # rows 1 and 4 (the last) store nothing; row 2 is all negative
-        a = from_coo(
-            5, [0, 0, 2, 2, 3, 3], [0, 3, 2, 3, 0, 2], [-1.0, 5.0, -2.0, -0.5, 5.0, 0.5],
-            is_symmetric=False,
-        )
+        a = from_coo(5, [0, 0, 2, 2, 3, 3], [0, 3, 2, 3, 0, 2], [-1.0, 5.0, -2.0, -0.5, 5.0, 0.5])
         got = a.row_max()
         np.testing.assert_array_equal(got, _row_max_per_row(a))
         np.testing.assert_array_equal(got, [5.0, -np.inf, -0.5, 5.0, -np.inf])

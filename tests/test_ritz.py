@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import problem_from_dense, random_spd
+from sstepcg.adaptive import AdaptiveConfig, adaptive_solve
 from sstepcg.classic import assemble_tridiag, hscg_solve
 from sstepcg.ritz import (
     MACHINE_UNIT,
@@ -100,6 +101,44 @@ class TestAbsorbStep:
         assert np.all(np.diff(lmins) <= 1e-15)
 
 
+# (alpha, beta) pairs absorbed in order; (3.1, 0.0) is a breakdown pair
+GOLDEN_PAIRS = [
+    (1.7, 0.42), (0.93, 0.61), (2.4, 0.18), (0.55, 0.97), (1.25, 0.33), (3.1, 0.0),
+    (0.72, 0.85), (1.9, 0.27), (0.48, 1.3), (2.75, 0.09), (1.05, 0.64), (0.66, 0.51),
+]
+# (lambda_min, lambda_max, psi, xi_estimate(), current_c()) after each
+# absorbed pair, as float.hex; the breakdown pair adds no row
+GOLDEN_STATES = [
+    ("0x1.2d2d2d2d2d2d2p-1", "0x1.2d2d2d2d2d2d2p-1", "0x1.689039b0ad121p-1", "0x1.0000000000000p+0", "0x1.6a09e667f3bcdp+26"),
+    ("0x1.b44ef45d46759p-2", "0x1.7c06e9f2d14bap+0", "0x1.125ab397a2b83p-1", "0x1.aa2cf2400ee91p+0", "0x1.aa2cf2400ee91p+0"),
+    ("0x1.723c9f930616dp-3", "0x1.0a060799db614p+1", "0x1.7f41f409aad38p-1", "0x1.0ea937ede6208p+2", "0x1.0ea937ede6208p+2"),
+    ("0x1.65edbe8bb407bp-3", "0x1.105a970c23aefp+1", "0x1.be063f1fe8ddcp-2", "0x1.adf626c5a5dacp+1", "0x1.adf626c5a5dacp+1"),
+    ("0x1.3d02d1179ec6cp-3", "0x1.8fe0a8ad30c8dp+1", "0x1.234d494bf9c65p-1", "0x1.7f51eef26661cp+2", "0x1.7f51eef26661cp+2"),
+    ("0x1.3143535aa9ae5p-3", "0x1.9afbad24ce929p+1", "0x1.9a9697b387c31p-2", "0x1.5108fdb3615e1p+2", "0x1.5108fdb3615e1p+2"),
+    ("0x1.fd3d82f49ae21p-4", "0x1.a21542539325cp+1", "0x1.31f7ea248a37bp-1", "0x1.ca4e0c4d30123p+2", "0x1.ca4e0c4d30123p+2"),
+    ("0x1.f29f8f71d02c9p-4", "0x1.a265f2420b60ap+1", "0x1.427af3dd9ec32p-2", "0x1.507a107b96733p+2", "0x1.507a107b96733p+2"),
+    ("0x1.5994061964343p-4", "0x1.a933d946b5d22p+1", "0x1.8e334a00cb5b8p-1", "0x1.42be85b2e92a2p+3", "0x1.42be85b2e92a2p+3"),
+    ("0x1.52aada76ccb77p-4", "0x1.a9511b7969ad2p+1", "0x1.18deeb509668fp-1", "0x1.11e1e604735a3p+3", "0x1.11e1e604735a3p+3"),
+    ("0x1.4f6770c448149p-4", "0x1.a9572b128d555p+1", "0x1.09543561a7afap-1", "0x1.0b80f6676fdecp+3", "0x1.0b80f6676fdecp+3"),
+]
+
+
+class TestGoldenSequence:
+    def test_states_bitwise(self):
+        st = RitzState()
+        got = []
+        for al, be in GOLDEN_PAIRS:
+            if be == 0.0:
+                with pytest.raises(BreakdownSignal):
+                    st.absorb_step(al, be)
+                continue
+            st.absorb_step(al, be)
+            values = (st.lambda_min, st.lambda_max, st.psi, st.xi_estimate(), st.current_c())
+            got.append(tuple(v.hex() for v in values))
+        assert got == GOLDEN_STATES
+        assert st.count == len(GOLDEN_STATES)
+
+
 class TestCurrentC:
     def test_fresh_state_inverse_sqrt_eps(self):
         st = RitzState()
@@ -111,8 +150,8 @@ class TestCurrentC:
         st = RitzState()
         st.absorb_step(1.0, 1.0)
         st.absorb_step(1.0, 1.0)
-        st.lmax_est.omega = 2.0
-        st.lmin_est.omega = 1.0 / 0.5
+        st.omega_max = 2.0
+        st.omega_min = 1.0 / 0.5
         st.psi = 0.125
         assert st.current_c() == 1.0
 
@@ -120,8 +159,8 @@ class TestCurrentC:
         st = RitzState()
         st.absorb_step(1.0, 1.0)
         st.absorb_step(1.0, 1.0)
-        st.lmax_est.omega = 1e4
-        st.lmin_est.omega = 1.0
+        st.omega_max = 1e4
+        st.omega_min = 1.0
         st.psi = 1.0
         assert st.current_c() == pytest.approx(1e4)
 
@@ -191,3 +230,30 @@ class TestOnProblemTraces:
         lmin = np.array(trace.lambda_min)
         assert np.all(np.diff(lmax) >= -1e-14 * lmax[1:])
         assert np.all(np.diff(lmin) <= 1e-14 * lmin[1:])
+
+
+class TestSolverBreakdown:
+    """On A = I the first step solves exactly, so beta = 0: the pair is a
+    breakdown that the solver keeps in its coefficients but not in the Ritz
+    estimates, and the run still converges."""
+
+    def _check(self, trace, coeffs):
+        assert trace.converged
+        assert trace.total_iters == 1
+        assert (coeffs.alphas, coeffs.betas) == ([1.0], [0.0])
+        assert np.isnan(trace.lambda_min[0]) and np.isnan(trace.lambda_max[0])
+        assert trace.c_values[0] == 1.0  # xi_estimate with nothing absorbed
+
+    def test_hscg(self):
+        prob = problem_from_dense(np.eye(8), b=np.arange(1.0, 9.0))
+        x, trace, coeffs = hscg_solve(prob, 1e-12)
+        self._check(trace, coeffs)
+        np.testing.assert_array_equal(x, prob.b)
+
+    @pytest.mark.parametrize("variant", ["old", "improved"])
+    def test_adaptive(self, variant):
+        prob = problem_from_dense(np.eye(8), b=np.arange(1.0, 9.0))
+        cfg = AdaptiveConfig(sigma=4, eps_star=1e-12, variant=variant)
+        x, trace, coeffs = adaptive_solve(prob, cfg)
+        self._check(trace, coeffs)
+        np.testing.assert_array_equal(x, prob.b)
