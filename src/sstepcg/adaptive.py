@@ -200,7 +200,7 @@ def _blocked_solve(problem, cfg, fixed):
     def strategy_c(s_for_bound, b_for_bound):
         if cfg.c_strategy != "full-bound":
             return c_strategy(cfg.c_strategy, ritz)
-        nu = problem.norm_abs_a / problem.norm_a if problem.norm_a else 1.0
+        nu = problem.abs_norm() / problem.norm_a if problem.norm_a else 1.0
         tau = abs_matrix_norm(b_for_bound) / problem.norm_a
         info = (s_for_bound, a.n_a, nu, tau, problem.kappa_a)
         return c_strategy("full-bound", ritz, info)

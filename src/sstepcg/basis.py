@@ -15,6 +15,7 @@ so A Y_ = Y B with the last column of each degree block zeroed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,7 +305,9 @@ def _recurrence_rows(a, v, rows, params):
     when gamma is 1: on finite rows both are identities, since the CSR
     product starts each entry from +0.0 and so never returns -0.0. One
     finiteness check covers the whole recurrence; it names the first
-    non-finite degree, as a check after every step would.
+    non-finite degree, as a check after every step would. A finite sum proves
+    every entry finite; only a sum that is not pays the entry-by-entry scan
+    (a sum of finite entries that overflows warns, as the block's Gram will).
     """
     th, ga, mu = params.thetas, params.gammas, params.mus
     rows[0] = v
@@ -321,7 +324,7 @@ def _recurrence_rows(a, v, rows, params):
             np.subtract(w, av, out=w)
         if ga[l] != 1.0:
             np.divide(w, ga[l], out=w)
-    if not np.isfinite(rows[1:]).all():
+    if not math.isfinite(rows[1:].sum()) and not np.isfinite(rows[1:]).all():
         degree = int(np.argmin(np.isfinite(rows[1:]).all(axis=1))) + 1
         raise BasisBreakdownError(f"non-finite basis column at degree {degree}")
 

@@ -228,17 +228,16 @@ def build_rhs(n):
 
 @dataclass
 class NormEstimates:
-    """Spectral estimates of a symmetric A.
+    """Spectral estimates of a symmetric A from one eigensolve (`_extremes`).
 
     iters_used counts the sparse products spent (0 on the dense path);
-    converged is False when a Lanczos run ran out of steps before its
+    converged is False when the Lanczos run ran out of steps before its
     extreme Ritz values settled. Lanczos Ritz values lie inside the
     spectrum, so lambda_min is high, ||A|| low and kappa_a an underestimate
     unless n <= DENSE_MAX_N, where all three are exact.
     """
 
     norm_a: float
-    norm_abs_a: float
     kappa_a: float
     lambda_min: float
     iters_used: int
@@ -292,54 +291,67 @@ def _lanczos_extremes(a, steps):
     return lo, hi, steps, False
 
 
-def estimate_operator_norms(a, iters=1000):
-    """Estimate ||A||_2, || |A| ||_2, lambda_min and kappa(A) for symmetric A.
+def _extremes(a, iters):
+    """(lambda_min, lambda_max, products, converged) of symmetric A: exact
+    from a dense eigvalsh for n <= DENSE_MAX_N, else `_lanczos_extremes`
+    with at most iters steps."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if a.n > DENSE_MAX_N:
+        return _lanczos_extremes(a, iters)
+    w = np.linalg.eigvalsh(a.to_dense())
+    return float(w[0]), float(w[-1]), 0, True
 
-    For n <= DENSE_MAX_N all come from dense eigvalsh of A and of |A|, and
-    are exact. Larger A runs plain Lanczos (`_lanczos_extremes`, at most
-    iters steps each) on A for lambda_min and lambda_max, and on |A| for its
-    largest eigenvalue, which is || |A| || since |A| is nonnegative. Those
-    Ritz values lie inside the spectrum, so kappa is an underestimate.
+
+def estimate_operator_norms(a, iters=1000):
+    """Estimate ||A||_2, lambda_min and kappa(A) for symmetric A.
+
+    Exact for n <= DENSE_MAX_N; larger A runs plain Lanczos, whose Ritz
+    values lie inside the spectrum, so kappa is an underestimate.
     """
-    if a.n <= DENSE_MAX_N:
-        d = a.to_dense()
-        w = np.linalg.eigvalsh(d)
-        w_abs = np.linalg.eigvalsh(np.abs(d, out=d))
-        lam_min, lam_max, norm_abs_a = float(w[0]), float(w[-1]), float(w_abs[-1])
-        used, converged = 0, True
-    else:
-        lam_min, lam_max, k1, c1 = _lanczos_extremes(a, iters)
-        abs_a = SparseMatrix(a.n, a.row_ptr, a.col_idx, np.abs(a.values), a.n_a)
-        _, norm_abs_a, k2, c2 = _lanczos_extremes(abs_a, iters)
-        used, converged = k1 + k2, c1 and c2
+    lam_min, lam_max, used, converged = _extremes(a, iters)
     norm_a = max(abs(lam_min), abs(lam_max))
     kappa = np.inf if lam_min <= 0 else norm_a / lam_min
-    return NormEstimates(
-        norm_a=norm_a,
-        norm_abs_a=norm_abs_a,
-        kappa_a=float(kappa),
-        lambda_min=lam_min,
-        iters_used=used,
-        converged=converged,
-    )
+    return NormEstimates(norm_a, float(kappa), lam_min, used, converged)
+
+
+def estimate_abs_norm(a, iters=1000):
+    """|| |A| ||_2 for symmetric A: the largest eigenvalue of the nonnegative
+    |A|, which shares A's index arrays. Exact for n <= DENSE_MAX_N, else a
+    Lanczos Ritz value, which is low. Returns (norm, products, converged)."""
+    abs_a = SparseMatrix(a.n, a.row_ptr, a.col_idx, np.abs(a.values), a.n_a)
+    return _extremes(abs_a, iters)[1:]
 
 
 @dataclass
 class ProblemInstance:
     """A preconditioned system A x = b with x0 = 0 and unit-norm b.
 
-    norms is the estimate the norm fields were taken from, when set-up made
-    one (`load_problem`); problems built with known norms leave it None.
+    norms is the estimate norm_a and kappa_a were taken from, when set-up
+    made one (`load_problem`); problems built with known norms leave it
+    None. norm_abs_a is || |A| ||, which only full-bound c reads: pass it
+    when known, else it stays None until `abs_norm()` estimates it.
     """
 
     a: SparseMatrix
     b: np.ndarray
     x0: np.ndarray
     norm_a: float
-    norm_abs_a: float
     kappa_a: float
     label: str = ""
     norms: NormEstimates | None = None
+    norm_abs_a: float | None = None
+
+    def abs_norm(self):
+        """|| |A| ||, estimated on the first call (`estimate_abs_norm`) and
+        kept in norm_abs_a. Warns (RuntimeWarning) when that Lanczos run
+        did not converge."""
+        if self.norm_abs_a is None:
+            self.norm_abs_a, used, converged = estimate_abs_norm(self.a)
+            if not converged:
+                msg = f"{self.label}: || |A| || not converged after {used} Lanczos steps"
+                warnings.warn(f"{msg}; the estimate is low", RuntimeWarning, stacklevel=2)
+        return self.norm_abs_a
 
 
 def load_problem(path, label=None):
@@ -365,7 +377,6 @@ def load_problem(path, label=None):
         b=build_rhs(a.n),
         x0=np.zeros(a.n),
         norm_a=est.norm_a,
-        norm_abs_a=est.norm_abs_a,
         kappa_a=est.kappa_a,
         label=label,
         norms=est,

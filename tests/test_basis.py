@@ -433,3 +433,21 @@ class TestBuildBlockBits:
             build_block(a, v, v, monomial_params(3), 3)
         with pytest.raises(BasisBreakdownError):
             build_block(a, v, v, monomial_params(3), 3, out=np.empty(7 * 3))
+
+    def test_finite_sum_skips_the_entry_scan(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: calls.append(x) or isfinite(x))
+        v = np.ones(3)
+        build_block(dense_to_sparse(np.diag([1.0, 2.0, 3.0])), v, v, monomial_params(3), 3)
+        assert calls == []
+
+    def test_huge_finite_basis_passes_the_scan(self):
+        # every entry is finite, but their sum overflows: the entry scan
+        # decides, and the block is built (its Gram overflows, not checked)
+        a = dense_to_sparse(np.eye(3))
+        v = np.full(3, 1e308)
+        with np.errstate(over="ignore"):
+            block = build_block(a, v, v, monomial_params(3), 3)
+            assert not np.isfinite(block.y.sum())
+        assert np.isfinite(block.y).all()

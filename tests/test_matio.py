@@ -9,7 +9,10 @@ from sstepcg import matio
 from sstepcg.matio import (
     DegenerateMatrixError,
     MatrixMarketError,
+    ProblemInstance,
+    SparseMatrix,
     build_rhs,
+    estimate_abs_norm,
     estimate_operator_norms,
     from_coo,
     jacobi_precondition,
@@ -60,6 +63,22 @@ def _tridiagonal(n):
         np.concatenate([np.arange(n), idx + 1, idx]),
         np.concatenate([d, np.full(2 * (n - 1), -0.2)]),
     )
+
+
+def _write_symmetric_mtx(a, path):
+    """Write A's lower triangle as a symmetric Matrix Market file."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    lower = rows >= a.col_idx
+    with open(path, "w") as f:
+        f.write(f"%%MatrixMarket matrix coordinate real symmetric\n{a.n} {a.n} {lower.sum()}\n")
+        for i, j, v in zip(rows[lower], a.col_idx[lower], a.values[lower]):
+            f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    return str(path)
+
+
+def _tridiagonal_problem(**known):
+    a = _tridiagonal(matio.DENSE_MAX_N + 100)
+    return ProblemInstance(a, build_rhs(a.n), np.zeros(a.n), norm_a=4.0, kappa_a=8.0, **known)
 
 
 class TestReadMatrixMarket:
@@ -257,13 +276,14 @@ class TestEstimateOperatorNorms:
     def test_identity(self):
         est = estimate_operator_norms(dense_to_sparse(np.eye(5)))
         assert est.norm_a == pytest.approx(1.0, rel=1e-9)
-        assert est.norm_abs_a == pytest.approx(1.0, rel=1e-9)
+        assert estimate_abs_norm(dense_to_sparse(np.eye(5)))[0] == pytest.approx(1.0, rel=1e-9)
         assert est.kappa_a == pytest.approx(1.0, rel=1e-9)
 
     def test_diagonal_spectrum(self):
-        est = estimate_operator_norms(dense_to_sparse(np.diag([1.0, 10.0])))
+        a = dense_to_sparse(np.diag([1.0, 10.0]))
+        est = estimate_operator_norms(a)
         assert est.norm_a == pytest.approx(10.0, rel=1e-9)
-        assert est.norm_abs_a == pytest.approx(10.0, rel=1e-9)
+        assert estimate_abs_norm(a)[0] == pytest.approx(10.0, rel=1e-9)
         assert est.kappa_a == pytest.approx(10.0, rel=1e-9)
 
     def test_diagonal_extremes_exact_to_tolerance(self):
@@ -274,13 +294,24 @@ class TestEstimateOperatorNorms:
 
     def test_dense_path_bitwise_equal_to_eigvalsh(self):
         a = read_matrix_market(require_matrix("nos1"))
-        d = a.to_dense()
-        w, w_abs = np.linalg.eigvalsh(d), np.linalg.eigvalsh(np.abs(d))
+        w = np.linalg.eigvalsh(a.to_dense())
         est = estimate_operator_norms(a)
         assert est.norm_a == w[-1] and est.lambda_min == w[0]
-        assert est.norm_abs_a == w_abs[-1]
         assert est.kappa_a == w[-1] / w[0]
         assert est.converged and est.iters_used == 0
+
+    def test_dense_abs_norm_bitwise_equal_to_eigvalsh(self):
+        a = read_matrix_market(require_matrix("nos1"))
+        w_abs = np.linalg.eigvalsh(np.abs(a.to_dense()))
+        assert estimate_abs_norm(a) == (w_abs[-1], 0, True)
+
+    @pytest.mark.parametrize("estimate", [estimate_operator_norms, estimate_abs_norm])
+    @pytest.mark.parametrize("n", [50, matio.DENSE_MAX_N + 100])
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_iters_below_one(self, estimate, n, iters):
+        a = from_coo(n, np.arange(n), np.arange(n), np.linspace(1.0, 2.0, n))
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            estimate(a, iters=iters)
 
     def test_one_spmv_per_lanczos_step(self, monkeypatch):
         a = _tridiagonal(matio.DENSE_MAX_N + 100)
@@ -300,16 +331,18 @@ class TestEstimateOperatorNorms:
     def test_budget_exhausted_is_not_converged(self):
         a = _tridiagonal(matio.DENSE_MAX_N + 100)
         est = estimate_operator_norms(a, iters=30)
-        assert not est.converged and est.iters_used == 60
+        assert not est.converged and est.iters_used == 30
+        assert estimate_abs_norm(a, iters=30)[1:] == (30, False)
 
     def test_three_point_spectrum(self):
         # the Krylov space of diag(1, 2, 3, 1, 2, 3, ...) has dimension 3
         n = matio.DENSE_MAX_N + 1
         a = from_coo(n, np.arange(n), np.arange(n), np.tile([1.0, 2.0, 3.0], n // 3))
         est = estimate_operator_norms(a)
-        assert est.converged
+        norm_abs_a, _, abs_converged = estimate_abs_norm(a)
+        assert est.converged and abs_converged
         assert est.norm_a == pytest.approx(3.0, rel=1e-12)
-        assert est.norm_abs_a == pytest.approx(3.0, rel=1e-12)
+        assert norm_abs_a == pytest.approx(3.0, rel=1e-12)
         assert est.kappa_a == pytest.approx(3.0, rel=1e-12)
 
     def test_bcsstk09_kappa(self):
@@ -339,10 +372,15 @@ class TestLanczosClosedForm:
         assert abs(est.norm_a - exact.norm_a) <= 1e-5
 
     def test_norm_abs_a(self, case):
-        exact, est = case
+        exact, _ = case
         h = np.pi / (2 * 129)
         assert exact.norm_abs_a == 4.0 + 4.0 * np.cos(2 * h)
-        assert abs(est.norm_abs_a - exact.norm_abs_a) <= 1e-4
+        a = exact.a
+        norm_abs_a, used, converged = estimate_abs_norm(a)
+        assert converged and 0 < used < 1000
+        abs_a = SparseMatrix(a.n, a.row_ptr, a.col_idx, np.abs(a.values), a.n_a)
+        assert norm_abs_a == matio._lanczos_extremes(abs_a, 1000)[1]
+        assert abs(norm_abs_a - exact.norm_abs_a) <= 1e-4
 
     def test_ritz_values_inside_spectrum(self, case):
         exact, est = case
@@ -358,22 +396,50 @@ class TestLoadProblem:
     def test_carries_converged_estimates(self, nos1_problem):
         est = nos1_problem.norms
         assert est.converged
-        assert (est.norm_a, est.norm_abs_a, est.kappa_a) == (
-            nos1_problem.norm_a, nos1_problem.norm_abs_a, nos1_problem.kappa_a
-        )
+        assert (est.norm_a, est.kappa_a) == (nos1_problem.norm_a, nos1_problem.kappa_a)
 
     def test_warns_when_lanczos_budget_runs_out(self, tmp_path, monkeypatch):
-        a = _tridiagonal(matio.DENSE_MAX_N + 100)
-        rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
-        lower = rows >= a.col_idx
-        path = tmp_path / "tri.mtx"
-        with open(path, "w") as f:
-            f.write(f"%%MatrixMarket matrix coordinate real symmetric\n{a.n} {a.n} {lower.sum()}\n")
-            for i, j, v in zip(rows[lower], a.col_idx[lower], a.values[lower]):
-                f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        path = _write_symmetric_mtx(_tridiagonal(matio.DENSE_MAX_N + 100), tmp_path / "tri.mtx")
         monkeypatch.setattr(
             matio, "estimate_operator_norms", functools.partial(estimate_operator_norms, iters=30)
         )
-        with pytest.warns(RuntimeWarning, match="tri: .* after 60 Lanczos steps"):
-            p = matio.load_problem(str(path), label="tri")
-        assert not p.norms.converged and p.norms.iters_used == 60
+        with pytest.warns(RuntimeWarning, match="tri: .* after 30 Lanczos steps"):
+            p = matio.load_problem(path, label="tri")
+        assert not p.norms.converged and p.norms.iters_used == 30
+
+    def test_no_abs_norm_work_at_set_up(self, tmp_path, monkeypatch):
+        path = _write_symmetric_mtx(_tridiagonal(matio.DENSE_MAX_N + 100), tmp_path / "tri.mtx")
+        calls = count_calls(monkeypatch, matio, "spmv")
+        p = matio.load_problem(path, label="tri")
+        assert p.norms.converged and len(calls) == p.norms.iters_used > 0
+        assert all(args[0] is p.a for args in calls)
+        assert p.norm_abs_a is None
+
+    def test_dense_abs_norm_estimated_once(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda t: calls.append(t) or eigvalsh(t))
+        p = matio.load_problem(require_matrix("nos1"), label="nos1")
+        assert len(calls) == 1 and p.norm_abs_a is None  # set-up solves for A only
+        expected = eigvalsh(np.abs(p.a.to_dense()))[-1]
+        assert p.abs_norm() == expected and len(calls) == 2
+        assert p.abs_norm() == p.norm_abs_a == expected and len(calls) == 2
+
+    def test_lanczos_abs_norm_estimated_once(self, monkeypatch):
+        p = _tridiagonal_problem()
+        expected, used, _ = estimate_abs_norm(p.a)
+        calls = count_calls(monkeypatch, matio, "spmv")
+        assert p.abs_norm() == expected and len(calls) == used > 0
+        assert p.abs_norm() == expected and len(calls) == used
+
+    def test_known_abs_norm_is_kept(self, monkeypatch):
+        p = _tridiagonal_problem(norm_abs_a=4.4)
+        calls = count_calls(monkeypatch, matio, "spmv")
+        assert p.abs_norm() == 4.4 and calls == []
+
+    def test_warns_when_abs_norm_budget_runs_out(self, monkeypatch):
+        p = _tridiagonal_problem(label="tri")
+        budget = functools.partial(estimate_abs_norm, iters=30)
+        monkeypatch.setattr(matio, "estimate_abs_norm", budget)
+        with pytest.warns(RuntimeWarning, match=r"tri: \|\| \|A\| \|\| not converged after 30 Lanczos"):
+            value = p.abs_norm()
+        assert value == p.norm_abs_a == budget(p.a)[0]
