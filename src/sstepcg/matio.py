@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse import _sparsetools
 
 from .lacore import spmv
 
@@ -24,6 +25,32 @@ class MatrixMarketError(ValueError):
 
 class DegenerateMatrixError(ValueError):
     pass
+
+
+class _KernelCsr(_sp.csr_matrix):
+    """scipy CSR matrix whose `@` on a float64 vector is the compiled kernel alone.
+
+    The solvers' only operand, a C-contiguous float64 ndarray of shape (n,),
+    goes straight to `csr_matvec` with a zero-initialised output, the kernel
+    and output SciPy's own `_matmul_vector` uses, so each product is bitwise
+    SciPy's without the per-call dispatch in front of it. The kernel checks
+    no length (a short vector is read past its end), so every other operand
+    goes to SciPy, which validates it and picks the result dtype.
+    """
+
+    def __matmul__(self, other):
+        m, n = self.shape
+        if (
+            other.__class__ is np.ndarray
+            and other.shape == (n,)
+            and other.dtype == np.float64
+            and self.data.dtype == np.float64
+            and other.flags.c_contiguous
+        ):
+            y = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, self.indptr, self.indices, self.data, other, y)
+            return y
+        return super().__matmul__(other)
 
 
 @dataclass
@@ -45,9 +72,14 @@ class SparseMatrix:
         return len(self.values)
 
     def as_csr(self):
-        """scipy CSR view, built once and cached (backend for spmv)."""
+        """scipy CSR view, built once and cached (backend for spmv).
+
+        A `scipy.sparse.csr_matrix` subclass whose `@` on a float64 vector
+        calls SciPy's compiled CSR kernel directly; every other operation is
+        SciPy's own.
+        """
         if self._csr is None:
-            self._csr = _sp.csr_matrix(
+            self._csr = _KernelCsr(
                 (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
             )
         return self._csr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_to_sparse
-from sstepcg.lacore import gram, gram_cond_estimate, nested_basis_conds, spmv, sym_eig
+from sstepcg.lacore import _mirror_index, gram, gram_cond_estimate, nested_basis_conds, spmv, sym_eig
 
 EPS = np.finfo(float).eps
 
@@ -144,6 +144,24 @@ class TestGram:
         y = rng.standard_normal((64, 21))
         g = gram(y)
         assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("order", range(1, 22))
+    def test_bitwise_equal_to_tril_indices_mirror(self, order):
+        y = np.random.default_rng(order).standard_normal((50, order))
+        ref = y.T @ y
+        il = np.tril_indices(order, -1)
+        ref[il[1], il[0]] = ref[il]
+        g = gram(y)
+        np.testing.assert_array_equal(g, ref)
+        assert np.array_equal(g, g.T)
+
+    def test_cached_mirror_index_is_read_only(self):
+        gram(np.ones((4, 5)))
+        np.testing.assert_array_equal(_mirror_index(5), np.tril_indices(5, -1))
+        for a in _mirror_index(5):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestGramCondEstimate:

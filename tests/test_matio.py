@@ -3,9 +3,11 @@ import gzip
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import count_calls, dense_to_sparse, laplacian_2d_problem, require_matrix
 from sstepcg import matio
+from sstepcg.lacore import spmv
 from sstepcg.matio import (
     DegenerateMatrixError,
     MatrixMarketError,
@@ -202,6 +204,93 @@ class TestRowMax:
         a = dense_to_sparse(m)
         assert np.any(np.diff(a.row_ptr) == 0)
         np.testing.assert_array_equal(a.row_max(), _row_max_per_row(a))
+
+
+def _random_symmetric_int64(n, seed):
+    """Random symmetric sparse matrix whose CSR index arrays are int64."""
+    m = sp.random(n, n, density=0.05, random_state=seed, format="csr")
+    m = (m + m.T + sp.identity(n)).tocsr()
+    m.sort_indices()
+    return SparseMatrix(
+        n=n,
+        row_ptr=m.indptr.astype(np.int64),
+        col_idx=m.indices.astype(np.int64),
+        values=m.data.copy(),
+        n_a=int(np.diff(m.indptr).max()),
+    )
+
+
+def _scipy_csr(a):
+    """A plain scipy CSR matrix on the same arrays: SciPy's own `@` is the reference."""
+    return sp.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=(a.n, a.n))
+
+
+class TestKernelCsr:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_bitwise_equal_to_scipy(self, name):
+        a = read_matrix_market(require_matrix(name))
+        x = np.random.default_rng(0).standard_normal(a.n)
+        np.testing.assert_array_equal(a.as_csr() @ x, _scipy_csr(a) @ x)
+
+    def test_laplacian_bitwise_equal_to_scipy(self):
+        a = laplacian_2d_problem(16).a
+        x = np.random.default_rng(1).standard_normal(a.n)
+        np.testing.assert_array_equal(a.as_csr() @ x, _scipy_csr(a) @ x)
+
+    def test_int64_indices_bitwise_equal_to_scipy(self):
+        a = _random_symmetric_int64(300, seed=2)
+        x = np.random.default_rng(2).standard_normal(a.n)
+        np.testing.assert_array_equal(a.as_csr() @ x, _scipy_csr(a) @ x)
+        # SciPy stores indices this small as int32; the kernel also takes int64
+        c = a.as_csr().copy()
+        c.indptr, c.indices = a.row_ptr, a.col_idx
+        assert type(c) is type(a.as_csr())
+        assert c.indices.dtype == c.indptr.dtype == np.int64
+        np.testing.assert_array_equal(c @ x, _scipy_csr(a) @ x)
+
+    def test_each_product_is_a_fresh_array(self):
+        a = laplacian_2d_problem(8).a
+        x = np.random.default_rng(3).standard_normal(a.n)
+        y1 = a.as_csr() @ x
+        ref = y1.copy()
+        y1[:] = np.nan  # callers write into the product (out=)
+        y2 = a.as_csr() @ x
+        assert not np.shares_memory(y1, y2) and not np.shares_memory(y2, x)
+        np.testing.assert_array_equal(y2, ref)
+
+    @pytest.mark.parametrize(
+        "operand",
+        [
+            lambda x: np.repeat(x, 2)[::2],  # strided
+            lambda x: np.column_stack([x, 2 * x]),  # 2-D
+            lambda x: x[:, None],  # column vector
+            lambda x: list(x),
+            lambda x: x.astype(np.float32),
+            lambda x: np.arange(x.size),  # integer
+        ],
+    )
+    def test_other_operands_fall_back_to_scipy(self, operand):
+        a = laplacian_2d_problem(8).a
+        x = operand(np.random.default_rng(4).standard_normal(a.n))
+        got, ref = a.as_csr() @ x, _scipy_csr(a) @ x
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("length", [63, 65])
+    def test_wrong_length_raises(self, length):
+        # the kernel checks no length, so SciPy must see the operand
+        a = laplacian_2d_problem(8).a
+        with pytest.raises(ValueError):
+            a.as_csr() @ np.ones(length)
+        with pytest.raises(ValueError):
+            spmv(a, np.ones(length))
+
+    def test_still_a_scipy_sparse_matrix(self):
+        a = laplacian_2d_problem(6).a
+        assert sp.issparse(a.as_csr())
+        np.testing.assert_array_equal(a.to_dense(), _scipy_csr(a).toarray())
+        assert a.pattern_is_symmetric()
+        assert not from_coo(2, [0], [1], [1.0]).pattern_is_symmetric()
 
 
 class TestJacobiPrecondition:
