@@ -18,11 +18,11 @@ Fixed s-step CG (`sstep.sstep_solve`) iterates on the monomial block of
 size s as built: no truncation, no break test and no parameter refresh.
 
 Each solve allocates one basis buffer and one work buffer of
-(2 sigma + 1) n entries. Every block is built row-major into the first; an
-untruncated adaptive block is iterated on in place, a truncated one is
-gathered into the work buffer, and fixed s-step iterates on a C-ordered copy
-there. The per-iteration trace maps back only x and r; `recover_iterates`
-runs once per outer loop. Every SpMV goes through `lacore.spmv`.
+(2 sigma + 1) n entries. Every block is built row-major into the first, and
+an untruncated block, fixed or adaptive, is iterated on in place; only a
+truncated one is gathered into the work buffer. The per-iteration trace maps
+back only x and r; `recover_iterates` runs once per outer loop. Every SpMV
+goes through `lacore.spmv`.
 """
 
 from __future__ import annotations
@@ -216,16 +216,10 @@ def _blocked_solve(problem, cfg, fixed):
             trace.diverged = True
             break
 
-        # A GEMV on a C-ordered Y and one on an F-ordered Y of the same
-        # values round differently, so each path keeps the layout it has
-        # always iterated on: fixed s-step a C-ordered copy of the block,
-        # the adaptive variants the F-ordered block (whole, or its kept
-        # rows gathered, as y[:, cols] would be).
+        # an untruncated block, fixed or adaptive, is iterated on as built
+        trunc = block
         if fixed:
             s_tilde, conds = s_bar, None
-            y_c = work_buf[: block.y.size].reshape(block.y.shape)
-            y_c[...] = block.y
-            trunc = SStepBlock(s=s_bar, y=y_c, b_mat=block.b_mat, g=block.g)
         else:
             # c is fixed for the block it selects; the improved variant
             # refreshes it per iteration only through the Ritz-state strategies
@@ -233,9 +227,7 @@ def _blocked_solve(problem, cfg, fixed):
             s_tilde, conds = select_s_tilde(
                 block.g, s_bar, c_block, MACHINE_UNIT, cfg.eps_star, run.upd_rel
             )
-            if s_tilde == s_bar:
-                trunc = block
-            else:
+            if s_tilde < s_bar:
                 cols = _truncate_block_columns(s_bar, s_tilde)
                 rows = work_buf[: len(cols) * a.n].reshape(len(cols), a.n)
                 # cols are in range; mode "raise" would buffer a copy of out

@@ -209,11 +209,11 @@ def leja_points(lmin, lmax, count, grid_points=DEFAULT_LEJA_GRID):
     return np.array(pts)
 
 
-def newton_params(lmin, lmax, s, grid_points=DEFAULT_LEJA_GRID):
+def newton_params(lmin, lmax, s):
     """Newton basis: Leja-ordered shifts, unit scalings, no coupling term."""
     if s < 1:
         raise ParameterError("s must be >= 1")
-    thetas = leja_points(lmin, lmax, s, grid_points)
+    thetas = leja_points(lmin, lmax, s)
     return BasisParams(
         kind="newton",
         thetas=thetas,
@@ -282,12 +282,7 @@ class SStepBlock:
     its Gram matrix.
 
     As built, y is the transpose of a C-ordered (2s+1, n) array whose rows
-    are the basis vectors, so y is an F-ordered n x (2s+1) view. The Gram
-    product is bitwise the same on either layout, but a GEMV such as
-    y @ coords is not. The adaptive variants have always iterated on an
-    F-ordered Y (the gathered y[:, cols]), so they use this y in place;
-    fixed s-step has always iterated on a C-ordered Y, so the engine hands
-    it a C-ordered copy (see `adaptive._blocked_solve`).
+    are the basis vectors, so y is an F-ordered n x (2s+1) view.
     """
 
     s: int

@@ -7,13 +7,14 @@ import csv
 import dataclasses
 import sys
 
-from .adaptive import AdaptiveConfig, adaptive_solve, attained_accuracy_report
+from .adaptive import attained_accuracy_report
 from .basis import BASIS_KINDS
-from .classic import hscg_attainable_accuracy, hscg_solve
+from .classic import hscg_attainable_accuracy
 from .harness import (
     ALGORITHMS,
     ExperimentSpec,
     ResultRow,
+    _run_cell,
     emit_summary_table,
     emit_trace_csv,
     round_up_2sig,
@@ -21,7 +22,6 @@ from .harness import (
 )
 from .matio import load_problem
 from .ritz import C_STRATEGIES
-from .sstep import sstep_solve
 
 
 def _solve(args):
@@ -30,22 +30,10 @@ def _solve(args):
     if args.eps_star_mode == "hscg-attainable":
         eps_star = round_up_2sig(hscg_attainable_accuracy(problem, max_iters=args.max_iters))
         print(f"eps* (hscg attainable) = {eps_star:.2e}")
-    if args.alg == "hscg":
-        _, trace, _ = hscg_solve(problem, eps_star, max_iters=args.max_iters)
-    elif args.alg == "sstep":
-        _, trace, _ = sstep_solve(problem, args.s, eps_star, max_outer=args.max_outer)
-    else:
-        cfg = AdaptiveConfig(
-            sigma=args.s,
-            eps_star=eps_star,
-            s_bar0=args.s_bar0,
-            f=args.f,
-            basis_kind=args.basis,
-            c_strategy=args.c_strategy,
-            variant="old" if args.alg == "adaptive-old" else "improved",
-            max_outer=args.max_outer,
-        )
-        _, trace, _ = adaptive_solve(problem, cfg)
+    trace = _run_cell(
+        problem, args.alg, args.s, args.basis, args.c_strategy, eps_star,
+        args.max_outer, args.max_iters, args.s_bar0, args.f,
+    )
     report = attained_accuracy_report(trace)
     print(f"{problem.label}: {report.outcome}  cell={report.cell}  "
           f"outer={trace.total_outer} total={trace.total_iters} "
@@ -129,7 +117,10 @@ def main(argv=None):
     so.add_argument("--eps-star", type=float, default=1e-6)
     so.add_argument("--eps-star-mode", choices=["fixed", "hscg-attainable"], default="fixed")
     so.add_argument("--basis", choices=BASIS_KINDS, default="newton")
-    so.add_argument("--c-strategy", choices=C_STRATEGIES, default="adaptive")
+    so.add_argument(
+        "--c-strategy", choices=C_STRATEGIES, default=None,
+        help="default: the grid's, unit for adaptive-old and adaptive for adaptive-improved",
+    )
     so.add_argument("--max-outer", type=int, default=5000)
     so.add_argument("--max-iters", type=int, default=None)
     so.add_argument("--trace-out", default=None)

@@ -82,19 +82,24 @@ def _cells_for(spec, alg):
     ]
 
 
-def _run_cell(problem, alg, s, basis, strat, eps_star, spec):
+def _run_cell(problem, alg, s, basis, strat, eps_star, max_outer=5000, max_iters=None, s_bar0=None, f=None):
+    """One solve of one cell, for the grid and for `sstepcg solve`; returns
+    its trace. An adaptive cell without a c strategy runs the grid's: unit c
+    for adaptive-old, adaptive c for adaptive-improved."""
     if alg == "hscg":
-        _, trace, _ = hscg_solve(problem, eps_star, max_iters=spec.max_iters)
+        _, trace, _ = hscg_solve(problem, eps_star, max_iters=max_iters)
     elif alg == "sstep":
-        _, trace, _ = sstep_solve(problem, s, eps_star, max_outer=spec.max_outer)
+        _, trace, _ = sstep_solve(problem, s, eps_star, max_outer=max_outer)
     else:
         cfg = AdaptiveConfig(
             sigma=s,
             eps_star=eps_star,
+            s_bar0=s_bar0,
+            f=f,
             basis_kind=basis,
-            c_strategy=strat if strat else "unit",
+            c_strategy=strat or ("unit" if alg == "adaptive-old" else "adaptive"),
             variant="old" if alg == "adaptive-old" else "improved",
-            max_outer=spec.max_outer,
+            max_outer=max_outer,
         )
         _, trace, _ = adaptive_solve(problem, cfg)
     return trace
@@ -123,7 +128,7 @@ def run_grid(spec, out_dir):
                 eps_star = float(mode)
             for alg in spec.algorithms:
                 for s, basis, strat in _cells_for(spec, alg):
-                    trace = _run_cell(problem, alg, s, basis, strat, eps_star, spec)
+                    trace = _run_cell(problem, alg, s, basis, strat, eps_star, spec.max_outer, spec.max_iters)
                     report = attained_accuracy_report(trace)
                     tag = f"{label}_{alg}"
                     if s:

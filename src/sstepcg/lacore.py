@@ -29,27 +29,15 @@ def spmv(a, x):
     return a.as_csr() @ x
 
 
-@functools.cache
-def _mirror_index(order):
-    """Strict lower-triangle (rows, cols) of an order x order matrix, built
-    once per order. The arrays are read-only: every caller shares them."""
-    index = np.tril_indices(order, -1)
-    for a in index:
-        a.setflags(write=False)
-    return index
-
-
 def gram(y):
     """Gram matrix G = Y^T Y, exactly symmetric.
 
-    The product is formed once (BLAS) and the lower triangle mirrored, so
-    each unordered pair has a single value assigned to both positions.
+    NumPy forms Y^T Y of one buffer as a SYRK plus a copy of its triangle,
+    or, without BLAS, sums both entries of a pair in the same order, so the
+    product is exactly symmetric as formed.
     """
     y = np.asarray(y, dtype=float)
-    g = y.T @ y
-    rows, cols = _mirror_index(g.shape[0])
-    g[cols, rows] = g[rows, cols]
-    return g
+    return y.T @ y
 
 
 def sym_eig(m):

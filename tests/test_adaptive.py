@@ -292,6 +292,25 @@ class TestBasisWorkspace:
         assert len(calls) == trace.total_outer
 
 
+class TestFixedBlockAsBuilt:
+    """Fixed s-step CG and an untruncated adaptive block iterate on the same
+    block as built, so their first outer loops are bitwise equal."""
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["lap16", "nos1"])
+    def test_first_outer_loop_equals_untruncated_adaptive(self, name, s, nos1_problem):
+        prob = laplacian_2d_problem(16) if name == "lap16" else nos1_problem
+        x_f, trace_f, _ = sstep_solve(prob, s, 1e-4, max_outer=1)
+        cfg = AdaptiveConfig(
+            sigma=s, eps_star=1e-4, basis_kind="monomial", c_strategy="unit", variant="old", max_outer=1
+        )
+        x_a, trace_a, _ = adaptive_solve(prob, cfg)
+        (rec,) = trace_a.outer_records
+        assert rec.s_tilde == s and rec.break_j is None
+        np.testing.assert_array_equal(x_f, x_a)
+        assert trace_f.true_resid == trace_a.true_resid
+
+
 class TestAttainedAccuracyReport:
     def _trace(self, **kw):
         t = SolveTrace()

@@ -71,12 +71,12 @@ class TestNewtonParams:
     def test_four_point_sequence_with_tie_broken_low(self):
         # stationary points of the 3-term product are 2 +- 2/sqrt(3); the
         # symmetric tie resolves toward the smaller shift
-        p = newton_params(0.0, 4.0, 4, grid_points=10**5)
+        thetas = leja_points(0.0, 4.0, 4, grid_points=10**5)
         cell = 4.0 / 10**5
-        assert p.thetas[0] == 4.0
-        assert p.thetas[1] == 0.0
-        assert abs(p.thetas[2] - 2.0) <= cell
-        assert abs(p.thetas[3] - (2.0 - 2.0 / np.sqrt(3))) <= 2 * cell
+        assert thetas[0] == 4.0
+        assert thetas[1] == 0.0
+        assert abs(thetas[2] - 2.0) <= cell
+        assert abs(thetas[3] - (2.0 - 2.0 / np.sqrt(3))) <= 2 * cell
 
     def test_prefixes_satisfy_argmax_property(self):
         # each chosen point attains the global distance-product maximum of

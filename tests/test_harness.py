@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import require_matrix
 from sstepcg.adaptive import AdaptiveConfig, adaptive_solve
 from sstepcg.classic import hscg_solve
 from sstepcg import cli
@@ -249,6 +250,22 @@ class TestCli:
         assert cli_main(argv) == 0
         assert budgets == [3, None]
         assert "eps* (hscg attainable)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alg", ["adaptive-old", "adaptive-improved"])
+    def test_solve_without_c_strategy_runs_the_grid_cell(self, alg, tmp_path, capsys):
+        # without --c-strategy, `sstepcg solve` runs the grid's cell for alg:
+        # unit c for adaptive-old, adaptive c for adaptive-improved
+        mm = require_matrix("nos1")
+        spec = ExperimentSpec(
+            matrices=[mm], algorithms=[alg], s_values=[10], eps_modes=[1e-6], basis_kinds=["newton"]
+        )
+        (row,) = run_grid(spec, str(tmp_path / "grid"))
+        trace_out = str(tmp_path / "solve.csv")
+        argv = ["solve", "--matrix", mm, "--alg", alg, "--s", "10", "--eps-star", "1e-6", "--trace-out", trace_out]
+        assert cli_main(argv) == 0
+        assert f"cell={row.cell} " in capsys.readouterr().out
+        with open(trace_out) as got, open(row.trace_file) as want:
+            assert got.read() == want.read()
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["solve", "--matrix", "/nonexistent.mtx", "--alg", "hscg"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dense_to_sparse
-from sstepcg.lacore import _mirror_index, gram, gram_cond_estimate, nested_basis_conds, spmv, sym_eig
+from conftest import dense_to_sparse, laplacian_2d_problem, require_matrix
+from sstepcg.basis import build_block, monomial_params
+from sstepcg.lacore import gram, gram_cond_estimate, nested_basis_conds, spmv, sym_eig
+from sstepcg.matio import load_problem
 
 EPS = np.finfo(float).eps
 
@@ -155,13 +157,24 @@ class TestGram:
         np.testing.assert_array_equal(g, ref)
         assert np.array_equal(g, g.T)
 
-    def test_cached_mirror_index_is_read_only(self):
-        gram(np.ones((4, 5)))
-        np.testing.assert_array_equal(_mirror_index(5), np.tril_indices(5, -1))
-        for a in _mirror_index(5):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
+    @pytest.mark.parametrize("name", ["nos1", "494_bus", "nos6", "gr_30_30"])
+    @pytest.mark.parametrize("s", [1, 4, 10])
+    def test_bitwise_symmetry_of_built_block(self, name, s):
+        # the layout the engine passes: the F-ordered transpose of the
+        # (2s+1, n) rows build_block writes
+        prob = load_problem(require_matrix(name))
+        block = build_block(prob.a, prob.b, prob.b[::-1].copy(), monomial_params(s), s)
+        assert block.y.flags.f_contiguous and not block.y.flags.c_contiguous
+        g = gram(block.y)
+        assert np.array_equal(g, g.T)
+        np.testing.assert_array_equal(block.g, g)
+
+    def test_bitwise_symmetry_at_large_n(self):
+        prob = laplacian_2d_problem(320)
+        assert prob.a.n >= 10**5
+        block = build_block(prob.a, prob.b, np.sin(np.arange(prob.a.n)), monomial_params(10), 10)
+        g = gram(block.y)
+        assert np.array_equal(g, g.T)
 
 
 class TestGramCondEstimate:
