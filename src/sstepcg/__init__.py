@@ -6,7 +6,6 @@ from .adaptive import (
     AdaptiveConfig,
     OuterLoopRecord,
     adaptive_solve,
-    attained_accuracy_report,
     select_s_tilde,
 )
 from .basis import (
@@ -50,7 +49,6 @@ __all__ = [
     "SparseMatrix",
     "adaptive_solve",
     "assemble_tridiag",
-    "attained_accuracy_report",
     "build_block",
     "build_rhs",
     "c_strategy",

@@ -247,7 +247,6 @@ def _blocked_solve(problem, cfg, fixed):
         num = float(coords.rp @ (g_t @ coords.rp))
         phi = math.sqrt(max(0.0, num)) / nb
 
-        trace.mark_outer(s_tilde)
         break_info = (None, float("nan"), float("nan"))
         for j in range(s_tilde):
             denom = float(coords.pp @ (g_t @ (b_t @ coords.pp)))
@@ -286,7 +285,7 @@ def _blocked_solve(problem, cfg, fixed):
                 if conds[s_tilde] >= threshold:
                     break_info = (j, conds[s_tilde], threshold)
                     break
-        trace.s_schedule[-1] = coords.j
+        trace.s_schedule.append(coords.j)
         trace.outer_records.append(
             OuterLoopRecord(k, s_bar, s_tilde, coords.j, phi, conds, params, *break_info)
         )
@@ -303,40 +302,3 @@ def _blocked_solve(problem, cfg, fixed):
 
     trace, coeffs = run.finish()
     return x, trace, coeffs
-
-
-@dataclass
-class AccuracyReport:
-    """Outcome classification plus the table cell it renders to."""
-
-    outcome: str
-    cell: str
-    total_outer: int = 0
-    total_iters: int = 0
-    attained: float = float("nan")
-
-
-def attained_accuracy_report(trace):
-    """Classify a completed trace and format the summary-table cell.
-
-    Converged runs render as "outer (total)"; stagnated ones as an en dash
-    with the attained relative residual in brackets; diverged ones as a
-    bare en dash. Runs that merely hit their iteration budget report like
-    stagnated ones.
-    """
-    if trace.converged:
-        return AccuracyReport(
-            outcome="converged",
-            cell=f"{trace.total_outer} ({trace.total_iters})",
-            total_outer=trace.total_outer,
-            total_iters=trace.total_iters,
-            attained=trace.final_true_resid,
-        )
-    if trace.diverged:
-        return AccuracyReport(outcome="diverged", cell="–", attained=trace.min_true_resid)
-    attained = trace.min_true_resid
-    return AccuracyReport(
-        outcome="stagnated",
-        cell=f"– [{attained:.1e}]",
-        attained=attained,
-    )

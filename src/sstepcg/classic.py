@@ -66,7 +66,7 @@ def hscg_solve(problem, eps_star, max_iters=None):
         beta = rr_new / rr
         p = r + beta * p
 
-        run.trace.mark_outer(1)
+        run.trace.s_schedule.append(1)
         run.step(alpha, beta, x, r)
     trace, coeffs = run.finish()
     return x, trace, coeffs

@@ -7,7 +7,6 @@ import csv
 import dataclasses
 import sys
 
-from .adaptive import attained_accuracy_report
 from .basis import BASIS_KINDS
 from .classic import hscg_attainable_accuracy
 from .harness import (
@@ -19,6 +18,7 @@ from .harness import (
     emit_trace_csv,
     round_up_2sig,
     run_grid,
+    summary_cell,
 )
 from .matio import load_problem
 from .ritz import C_STRATEGIES
@@ -34,8 +34,7 @@ def _solve(args):
         problem, args.alg, args.s, args.basis, args.c_strategy, eps_star,
         args.max_outer, args.max_iters, args.s_bar0, args.f,
     )
-    report = attained_accuracy_report(trace)
-    print(f"{problem.label}: {report.outcome}  cell={report.cell}  "
+    print(f"{problem.label}: {trace.outcome}  cell={summary_cell(trace)}  "
           f"outer={trace.total_outer} total={trace.total_iters} "
           f"final_rel={trace.final_true_resid:.3e}")
     if args.trace_out:
@@ -55,20 +54,23 @@ _SPEC_SCALARS = dict(max_outer=int, max_iters=int)
 
 def _parse_spec_file(path):
     """Line-based key=value spec. Keys the file does not set keep their
-    `ExperimentSpec` defaults; unknown keys are ignored."""
+    `ExperimentSpec` defaults; an unknown key raises ValueError naming it
+    and its line."""
     fields = {}
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad spec line: {raw!r}")
+                raise ValueError(f"bad spec line {lineno}: {raw!r}")
             key, val = (t.strip() for t in line.split("=", 1))
             if key in _SPEC_LISTS:
                 fields[key] = [_SPEC_LISTS[key](t.strip()) for t in val.split(",") if t.strip()]
             elif key in _SPEC_SCALARS:
                 fields[key] = _SPEC_SCALARS[key](val)
+            else:
+                raise ValueError(f"unknown spec key {key!r} on line {lineno}")
     if not fields.get("matrices"):
         raise ValueError("spec file must set 'matrices'")
     return ExperimentSpec(**fields)

@@ -9,9 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, adaptive_solve, attained_accuracy_report
+from .adaptive import AdaptiveConfig, adaptive_solve
+from .basis import BASIS_KINDS
 from .classic import hscg_attainable_accuracy, hscg_solve
 from .matio import load_problem
+from .ritz import C_STRATEGIES
 from .sstep import sstep_solve
 
 ALGORITHMS = ("hscg", "sstep", "adaptive-old", "adaptive-improved")
@@ -36,9 +38,22 @@ class ExperimentSpec:
             raise ValueError("spec needs at least one matrix")
         if not self.algorithms:
             raise ValueError("spec needs at least one algorithm")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}")
+        for what, given, known in (
+            ("algorithm", self.algorithms, ALGORITHMS),
+            ("basis kind", self.basis_kinds, BASIS_KINDS),
+            ("c strategy", self.c_strategies, C_STRATEGIES),
+        ):
+            for name in given:
+                if name not in known:
+                    raise ValueError(f"unknown {what} {name!r}")
+        if any(s < 1 for s in self.s_values):
+            raise ValueError(f"s values must be >= 1, got {self.s_values}")
+        # a zero budget would make the HSCG floor inf and every run "converge"
+        if self.max_outer < 1 or (self.max_iters is not None and self.max_iters < 1):
+            raise ValueError("max_outer and max_iters must be >= 1")
+        for mode in self.eps_modes:
+            if mode != "hscg-attainable" and not (isinstance(mode, (int, float)) and 0 < mode < math.inf):
+                raise ValueError(f"eps mode must be 'hscg-attainable' or a positive finite float, got {mode!r}")
 
 
 @dataclass
@@ -63,7 +78,24 @@ def round_up_2sig(x):
         return x
     exp = math.floor(math.log10(x))
     scale = 10.0 ** (exp - 1)
-    return math.ceil(x / scale) * scale
+    # x / scale of an exact two-digit x can land just above its integer
+    return math.ceil(round(x / scale, 9)) * scale
+
+
+def summary_cell(trace):
+    """The summary-table cell of a completed trace.
+
+    Converged runs render as "outer (total)"; stagnated ones as an en dash
+    with the attained relative residual in brackets; diverged ones as a
+    bare en dash. Runs that merely hit their iteration budget report like
+    stagnated ones.
+    """
+    outcome = trace.outcome
+    if outcome == "converged":
+        return f"{trace.total_outer} ({trace.total_iters})"
+    if outcome == "diverged":
+        return "–"
+    return f"– [{trace.min_true_resid:.1e}]"
 
 
 def _cells_for(spec, alg):
@@ -129,7 +161,6 @@ def run_grid(spec, out_dir):
             for alg in spec.algorithms:
                 for s, basis, strat in _cells_for(spec, alg):
                     trace = _run_cell(problem, alg, s, basis, strat, eps_star, spec.max_outer, spec.max_iters)
-                    report = attained_accuracy_report(trace)
                     tag = f"{label}_{alg}"
                     if s:
                         tag += f"_s{s}"
@@ -148,8 +179,8 @@ def run_grid(spec, out_dir):
                             c_strategy=strat,
                             s=s,
                             eps_star=eps_star,
-                            cell=report.cell,
-                            outcome=report.outcome,
+                            cell=summary_cell(trace),
+                            outcome=trace.outcome,
                             total_iters=trace.total_iters,
                             total_outer=trace.total_outer,
                             final_true_resid=trace.final_true_resid,
@@ -172,20 +203,13 @@ _TRACE_LINE = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 def emit_trace_csv(trace, path):
     """One line per global iteration, full 17-significant-digit decimals."""
     n = trace.total_iters
-    outer_of = np.zeros(n, dtype=int)
-    s_of = np.zeros(n, dtype=int)
-    for outer, (start, s_k) in enumerate(zip(trace.outer_marks, trace.s_schedule)):
-        end = (
-            trace.outer_marks[outer + 1]
-            if outer + 1 < len(trace.outer_marks)
-            else n
-        )
-        outer_of[start:end] = outer
-        s_of[start:end] = s_k
+    steps = trace.s_schedule
+    outer_of = np.repeat(np.arange(1, len(steps) + 1), steps)
+    s_of = np.repeat(steps, steps)
     # Python ints and floats format faster than NumPy scalars
     rows = zip(
         range(1, n + 1),
-        (outer_of + 1).tolist(),
+        outer_of.tolist(),
         s_of.tolist(),
         trace.true_resid,
         trace.upd_resid,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,17 +29,19 @@ class CgCoefficients:
 
 @dataclass
 class SolveTrace:
-    """One record per global iteration plus outer-loop bookkeeping.
+    """One record per global iteration plus one step count per outer loop.
 
     Residual columns are relative to ||b||; resid_gap is the absolute norm
     of (b - A x_i) - r_i. c_values holds the per-iteration error-ratio
-    estimate, lambda_min/lambda_max the running Ritz estimates.
+    estimate, lambda_min/lambda_max the running Ritz estimates. s_schedule
+    holds the number of iterations each outer loop ran (1 per HSCG step;
+    a blocked solve's last loop may have run none), so it sums to
+    total_iters; the outer-loop counts and marks are read from it.
     """
 
     true_resid: list = field(default_factory=list)
     upd_resid: list = field(default_factory=list)
     resid_gap: list = field(default_factory=list)
-    outer_marks: list = field(default_factory=list)
     s_schedule: list = field(default_factory=list)
     c_values: list = field(default_factory=list)
     psi: list = field(default_factory=list)
@@ -47,8 +50,6 @@ class SolveTrace:
     converged: bool = False
     stagnated: bool = False
     diverged: bool = False
-    total_iters: int = 0
-    total_outer: int = 0
     outer_records: list = field(default_factory=list)
 
     def record_iteration(self, true_rel, upd_rel, gap, c_val, lmin, lmax, psi=float("nan")):
@@ -59,18 +60,32 @@ class SolveTrace:
         self.lambda_min.append(float(lmin))
         self.lambda_max.append(float(lmax))
         self.psi.append(float(psi))
-        self.total_iters += 1
 
-    def mark_outer(self, s_k):
-        """Record the start of an outer loop spanning the next s_k iterations."""
-        self.outer_marks.append(self.total_iters)
-        self.s_schedule.append(int(s_k))
-        self.total_outer += 1
+    @property
+    def total_iters(self):
+        return len(self.true_resid)
+
+    @property
+    def total_outer(self):
+        return len(self.s_schedule)
+
+    @property
+    def outer_marks(self):
+        """The global iteration each outer loop started at."""
+        return [0, *itertools.accumulate(self.s_schedule)][: len(self.s_schedule)]
 
     @property
     def ended(self):
         """True once a stopping rule has set one of the three outcome flags."""
         return self.converged or self.diverged or self.stagnated
+
+    @property
+    def outcome(self):
+        """The run's outcome: converged, else diverged, else stagnated (which
+        includes a run that used up its budget)."""
+        if self.converged:
+            return "converged"
+        return "diverged" if self.diverged else "stagnated"
 
     @property
     def final_true_resid(self):
@@ -79,15 +94,6 @@ class SolveTrace:
     @property
     def min_true_resid(self):
         return min(self.true_resid) if self.true_resid else np.inf
-
-    def check_consistency(self):
-        n = self.total_iters
-        assert len(self.true_resid) == n
-        assert len(self.upd_resid) == n
-        assert len(self.resid_gap) == n
-        assert len(self.c_values) == n
-        assert all(b > a for a, b in zip(self.outer_marks, self.outer_marks[1:]))
-        assert len(self.outer_marks) == self.total_outer == len(self.s_schedule)
 
 
 # Shared run-control defaults.
@@ -165,12 +171,11 @@ class _Run:
         return trace.ended
 
     def finish(self):
-        """End the run, check the trace and return (trace, coeffs). A run that
-        used up its iteration budget without stopping ends converged if its
-        true residual passes, stagnated otherwise."""
+        """End the run and return (trace, coeffs). A run that used up its
+        iteration budget without stopping ends converged if its true
+        residual passes, stagnated otherwise."""
         trace = self.trace
         if not trace.ended:
             trace.converged = self.true_rel <= self.eps_star
             trace.stagnated = not trace.converged
-        trace.check_consistency()
         return trace, self.coeffs

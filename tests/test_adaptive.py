@@ -15,7 +15,6 @@ from sstepcg import adaptive, basis, lacore
 from sstepcg.adaptive import (
     AdaptiveConfig,
     adaptive_solve,
-    attained_accuracy_report,
     select_s_tilde,
 )
 from sstepcg.classic import hscg_solve
@@ -23,7 +22,6 @@ from sstepcg.lacore import gram
 from sstepcg.matio import load_problem
 from sstepcg.ritz import MACHINE_UNIT
 from sstepcg.sstep import sstep_solve
-from sstepcg.trace import SolveTrace
 
 
 class TestSelectSTilde:
@@ -310,28 +308,3 @@ class TestFixedBlockAsBuilt:
         np.testing.assert_array_equal(x_f, x_a)
         assert trace_f.true_resid == trace_a.true_resid
 
-
-class TestAttainedAccuracyReport:
-    def _trace(self, **kw):
-        t = SolveTrace()
-        for key, val in kw.items():
-            setattr(t, key, val)
-        return t
-
-    def test_converged_cell(self):
-        t = self._trace(converged=True, total_outer=10, total_iters=50, true_resid=[1e-7])
-        rep = attained_accuracy_report(t)
-        assert rep.outcome == "converged"
-        assert rep.cell == "10 (50)"
-
-    def test_stagnated_cell(self):
-        t = self._trace(stagnated=True, true_resid=[1.0, 3.1e-8, 5e-8], total_iters=3)
-        rep = attained_accuracy_report(t)
-        assert rep.outcome == "stagnated"
-        assert rep.cell == "– [3.1e-08]"
-
-    def test_diverged_cell(self):
-        t = self._trace(diverged=True, true_resid=[1.0, 10.0], total_iters=2)
-        rep = attained_accuracy_report(t)
-        assert rep.outcome == "diverged"
-        assert rep.cell == "–"

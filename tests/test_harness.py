@@ -6,6 +6,7 @@ import pytest
 
 from conftest import require_matrix
 from sstepcg.adaptive import AdaptiveConfig, adaptive_solve
+from sstepcg.sstep import sstep_solve
 from sstepcg.classic import hscg_solve
 from sstepcg import cli
 from sstepcg.cli import main as cli_main
@@ -17,6 +18,7 @@ from sstepcg.harness import (
     emit_trace_csv,
     round_up_2sig,
     run_grid,
+    summary_cell,
 )
 from sstepcg.matio import load_problem
 from sstepcg.trace import SolveTrace
@@ -40,10 +42,63 @@ def _identity_mm(tmp_path, n=10):
 class TestRoundUp2Sig:
     @pytest.mark.parametrize(
         "x,expected",
-        [(2.085e-11, 2.1e-11), (1.86e-12, 1.9e-12), (9.99e-7, 1.0e-6), (3.5e-14, 3.5e-14)],
+        [
+            (2.085e-11, 2.1e-11),
+            (1.86e-12, 1.9e-12),
+            (9.99e-7, 1.0e-6),
+            (3.5e-14, 3.5e-14),
+            # exact two-digit values stay put
+            (1e-10, 1e-10),
+            (1.1e-11, 1.1e-11),
+            (1.3e-06, 1.3e-06),
+        ],
     )
     def test_values(self, x, expected):
         assert round_up_2sig(x) == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_two_digit_values_are_fixed_points(self):
+        for exp in range(-17, -5):
+            for m in range(10, 100):
+                x = float(f"{m / 10}e{exp}")
+                assert round_up_2sig(x) == pytest.approx(x, rel=1e-12), x
+
+
+class TestSummaryCell:
+    def test_converged_cell(self):
+        t = SolveTrace(converged=True, s_schedule=[5] * 10, true_resid=[1e-7] * 50)
+        assert t.outcome == "converged"
+        assert summary_cell(t) == "10 (50)"
+
+    def test_stagnated_cell(self):
+        t = SolveTrace(stagnated=True, s_schedule=[3], true_resid=[1.0, 3.1e-8, 5e-8])
+        assert t.outcome == "stagnated"
+        assert summary_cell(t) == "– [3.1e-08]"
+
+    def test_diverged_cell(self):
+        t = SolveTrace(diverged=True, s_schedule=[1, 1], true_resid=[1.0, 10.0])
+        assert t.outcome == "diverged"
+        assert summary_cell(t) == "–"
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("algorithms", ["cg"], "algorithm"),
+            ("s_values", [0], "s values"),
+            ("eps_modes", [-1.0], "eps mode"),
+            ("eps_modes", [float("nan")], "eps mode"),
+            ("eps_modes", [float("inf")], "eps mode"),
+            ("eps_modes", ["attainable"], "eps mode"),
+            ("basis_kinds", ["newtn"], "basis kind"),
+            ("c_strategies", ["bogus"], "c strategy"),
+            ("max_outer", 0, "max_outer"),
+            ("max_iters", 0, "max_iters"),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(matrices=["a.mtx"], **{field: value})
 
 
 class TestRunGrid:
@@ -123,10 +178,10 @@ class TestEmitTraceCsv:
         special = [1.0, 1 / 3, 1e-300, 5e-324, -0.0, 0.1, np.inf, -np.inf, np.nan, 2.0**60, -1.5e-17]
         trace = SolveTrace()
         i = 0
-        # (s_k, iterations run): the last outer loop records none, as in a
-        # run that breaks down at its first step
-        for s_k, iters in ((3, 3), (1, 1), (4, 4), (2, 2), (5, 0)):
-            trace.mark_outer(s_k)
+        # iterations per outer loop: the last records none, as in a run
+        # that breaks down at its first step
+        for iters in (3, 1, 4, 2, 0):
+            trace.s_schedule.append(iters)
             for _ in range(iters):
                 trace.record_iteration(*[special[(i + j) % len(special)] for j in range(7)])
                 i += 1
@@ -135,11 +190,17 @@ class TestEmitTraceCsv:
         assert path.read_bytes() == reference_trace_csv(trace).encode()
 
     def test_solver_trace_bytes_equal_reference_formatter(self, bus494_problem, tmp_path):
-        cfg = AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind="newton")
-        _, trace, _ = adaptive_solve(bus494_problem, cfg)
-        path = tmp_path / "bus.csv"
-        emit_trace_csv(trace, str(path))
-        assert path.read_bytes() == reference_trace_csv(trace).encode()
+        traces = {
+            "hscg": hscg_solve(bus494_problem, 1e-6)[1],
+            "sstep": sstep_solve(bus494_problem, 5, 1e-6)[1],
+        }
+        for variant in ("old", "improved"):
+            cfg = AdaptiveConfig(sigma=5, eps_star=1e-6, basis_kind="newton", variant=variant)
+            traces[f"adaptive-{variant}"] = adaptive_solve(bus494_problem, cfg)[1]
+        for alg, trace in traces.items():
+            path = tmp_path / f"bus_{alg}.csv"
+            emit_trace_csv(trace, str(path))
+            assert path.read_bytes() == reference_trace_csv(trace).encode(), alg
 
     def test_identity_two_line_file(self, tmp_path):
         prob = load_problem(_identity_mm(tmp_path), label="id")
@@ -314,6 +375,25 @@ class TestSpecFile:
         spec_file.write_text("matrices = a.mtx\ns_values = 3\neps_modes = 1e-8\nmax_iters = 40\n")
         spec = cli._parse_spec_file(spec_file)
         assert (spec.s_values, spec.eps_modes, spec.max_iters) == ([3], [1e-8], 40)
+
+    def test_nos1_quick(self):
+        path = os.path.join(os.path.dirname(REPRODUCTION_SPEC), "nos1_quick.spec")
+        assert cli._parse_spec_file(path) == ExperimentSpec(
+            matrices=["data/matrices/nos1.mtx"],
+            algorithms=["hscg", "adaptive-improved"],
+            s_values=[10],
+            eps_modes=[1e-6],
+            basis_kinds=["newton", "chebyshev"],
+            c_strategies=["adaptive"],
+        )
+
+    @pytest.mark.parametrize("line", ["c_strategy = full-bound", "s_value = 3"])
+    def test_rejects_unknown_key(self, tmp_path, line):
+        spec_file = tmp_path / "grid.spec"
+        spec_file.write_text(f"# a typo'd key\nmatrices = a.mtx\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"'{key}' on line 3"):
+            cli._parse_spec_file(spec_file)
 
     def test_rejects_missing_matrices(self, tmp_path):
         spec_file = tmp_path / "grid.spec"

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import count_calls, count_spmvs, dense_to_sparse, problem_from_dense, random_spd
 from sstepcg import basis
-from sstepcg.adaptive import attained_accuracy_report
 from sstepcg.basis import build_block, monomial_params
 from sstepcg.classic import hscg_solve
+from sstepcg.harness import summary_cell
 from sstepcg.sstep import CoordState, recover_iterates, sstep_solve
 
 
@@ -135,8 +135,9 @@ class TestSstepSolve:
 
     def test_trace_lengths(self, bus494_problem):
         _, trace, _ = sstep_solve(bus494_problem, 5, 1e-6)
-        trace.check_consistency()
         assert trace.converged
+        assert len(trace.c_values) == len(trace.resid_gap) == trace.total_iters
+        assert sum(trace.s_schedule) == trace.total_iters
 
 
 class TestFixedPolicy:
@@ -160,9 +161,8 @@ class TestFixedPolicy:
         _, trace, _ = sstep_solve(prob, 3, 1e-12, max_outer=2)
         assert trace.total_outer == 2
         assert trace.stagnated and not (trace.converged or trace.diverged)
-        rep = attained_accuracy_report(trace)
-        assert rep.outcome == "stagnated"
-        assert rep.cell == f"– [{trace.min_true_resid:.1e}]"
+        assert trace.outcome == "stagnated"
+        assert summary_cell(trace) == f"– [{trace.min_true_resid:.1e}]"
 
     def test_params_built_once(self, monkeypatch):
         calls = count_calls(monkeypatch, basis, "params_for")
