@@ -20,9 +20,10 @@ size s as built: no truncation, no break test and no parameter refresh.
 Each solve allocates one basis buffer and one work buffer of
 (2 sigma + 1) n entries. Every block is built row-major into the first, and
 an untruncated block, fixed or adaptive, is iterated on in place; only a
-truncated one is gathered into the work buffer. The per-iteration trace maps
-back only x and r; `recover_iterates` runs once per outer loop. Every SpMV
-goes through `lacore.spmv`.
+truncated one is gathered into the work buffer. The length-n iterates are
+formed once per outer loop, where the stopping rules and the next block
+read the true residual; only the full trace (`full_trace=True`) forms x_j
+and r_j at every iteration. Every SpMV goes through `lacore.spmv`.
 """
 
 from __future__ import annotations
@@ -154,16 +155,20 @@ def _truncate_block_columns(s_bar, s_tilde):
     return list(range(0, s_tilde + 1)) + list(range(s_bar + 1, s_bar + 1 + s_tilde))
 
 
-def adaptive_solve(problem, cfg):
+def adaptive_solve(problem, cfg, full_trace=False):
     """Run adaptive s-step CG per cfg.variant.
+
+    The trace's residual columns are formed at outer-loop boundaries and
+    hold NaN on inner rows; full_trace=True forms them at every iteration
+    (one more SpMV each) and changes nothing else.
 
     Returns (x, SolveTrace, CgCoefficients); per-outer-loop records are
     attached as trace.outer_records.
     """
-    return _blocked_solve(problem, cfg, fixed=False)
+    return _blocked_solve(problem, cfg, fixed=False, full_trace=full_trace)
 
 
-def _blocked_solve(problem, cfg, fixed):
+def _blocked_solve(problem, cfg, fixed, full_trace=False):
     """The one outer and inner loop of the blocked solvers.
 
     fixed=True is fixed s-step CG at s = cfg.sigma: the block is used as
@@ -173,10 +178,15 @@ def _blocked_solve(problem, cfg, fixed):
     and coordinate-space arithmetic.
 
     Each value is formed once. The SpMVs are one for r0, 2 s_bar - 1 per
-    basis and one per iteration for the true residual. The last iteration's
-    x_j and r_j are bitwise the x and r that `recover_iterates` returns, so
-    the stopping rules and the block selection at the next boundary read
-    the relative residuals it recorded (both ||r0|| / ||b|| at the start).
+    basis and one per recovered outer loop for the true residual of its
+    last iteration, which the stopping rules and the block selection at
+    the next boundary read (both ||r0|| / ||b|| at the start).
+    full_trace=True instead forms x_j, r_j and the true residual at every
+    iteration, one SpMV each; the last iteration's x_j and r_j are bitwise
+    the x and r that `recover_iterates` would return, so the boundary keeps
+    them and forms only p. Either way the rules read the same values.
+    A block that diverges ends before it is recovered: x stays the last
+    boundary's, and at the default level its rows keep NaN residuals.
     Each iteration forms one Gram quadratic form (its numerator is the last
     rr_new), and a block keeps the c that selected it unless full-bound c
     must bound a truncated block.
@@ -266,8 +276,11 @@ def _blocked_solve(problem, cfg, fixed):
             est_rel = math.sqrt(max(0.0, rr_new)) / nb
             phi = max(phi, est_rel)
 
-            # the trace needs x_j and r_j only; p waits for the outer boundary
-            run.step(alpha, beta, x + trunc.y @ coords.xp, trunc.y @ coords.rp)
+            run.step(alpha, beta)
+            if full_trace:
+                # p waits for the outer boundary
+                x_j, r_j = x + trunc.y @ coords.xp, trunc.y @ coords.rp
+                run.residuals(x_j, r_j)
 
             # negative quadratures are Gram noise, not convergence
             if rr_new >= 0.0 and est_rel <= cfg.eps_star and j < s_tilde - 1:
@@ -291,7 +304,11 @@ def _blocked_solve(problem, cfg, fixed):
         )
         if trace.diverged:
             break
-        x, r, p = recover_iterates(trunc, coords, x)
+        if full_trace:
+            x, r, p = x_j, r_j, trunc.y @ coords.pp
+        else:
+            x, r, p = recover_iterates(trunc, coords, x)
+            run.residuals(x, r)
         s_prev = coords.j
 
         if cfg.variant == "improved" and cfg.basis_kind != "monomial" and ritz.count >= 2:

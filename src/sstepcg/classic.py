@@ -67,7 +67,8 @@ def hscg_solve(problem, eps_star, max_iters=None):
         p = r + beta * p
 
         run.trace.s_schedule.append(1)
-        run.step(alpha, beta, x, r)
+        run.step(alpha, beta)
+        run.residuals(x, r)
     trace, coeffs = run.finish()
     return x, trace, coeffs
 

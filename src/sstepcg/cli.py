@@ -43,6 +43,17 @@ def _solve(args):
     return 0
 
 
+def _budget(tok):
+    """An iteration or outer-loop budget: an integer >= 1."""
+    try:
+        n = int(tok)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {tok!r}")
+    return n
+
+
 def _eps(tok):
     return tok if tok == "hscg-attainable" else float(tok)
 
@@ -123,8 +134,8 @@ def main(argv=None):
         "--c-strategy", choices=C_STRATEGIES, default=None,
         help="default: the grid's, unit for adaptive-old and adaptive for adaptive-improved",
     )
-    so.add_argument("--max-outer", type=int, default=5000)
-    so.add_argument("--max-iters", type=int, default=None)
+    so.add_argument("--max-outer", type=_budget, default=5000)
+    so.add_argument("--max-iters", type=_budget, default=None)
     so.add_argument("--trace-out", default=None)
     so.set_defaults(func=_solve)
 

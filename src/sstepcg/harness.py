@@ -116,12 +116,13 @@ def _cells_for(spec, alg):
 
 def _run_cell(problem, alg, s, basis, strat, eps_star, max_outer=5000, max_iters=None, s_bar0=None, f=None):
     """One solve of one cell, for the grid and for `sstepcg solve`; returns
-    its trace. An adaptive cell without a c strategy runs the grid's: unit c
-    for adaptive-old, adaptive c for adaptive-improved."""
+    its trace, with every iteration's residuals formed. An adaptive cell
+    without a c strategy runs the grid's: unit c for adaptive-old, adaptive
+    c for adaptive-improved."""
     if alg == "hscg":
         _, trace, _ = hscg_solve(problem, eps_star, max_iters=max_iters)
     elif alg == "sstep":
-        _, trace, _ = sstep_solve(problem, s, eps_star, max_outer=max_outer)
+        _, trace, _ = sstep_solve(problem, s, eps_star, max_outer=max_outer, full_trace=True)
     else:
         cfg = AdaptiveConfig(
             sigma=s,
@@ -133,7 +134,7 @@ def _run_cell(problem, alg, s, basis, strat, eps_star, max_outer=5000, max_iters
             variant="old" if alg == "adaptive-old" else "improved",
             max_outer=max_outer,
         )
-        _, trace, _ = adaptive_solve(problem, cfg)
+        _, trace, _ = adaptive_solve(problem, cfg, full_trace=True)
     return trace
 
 

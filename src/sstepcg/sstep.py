@@ -12,7 +12,7 @@ from .adaptive import AdaptiveConfig, CoordState, recover_iterates, _blocked_sol
 __all__ = ["CoordState", "recover_iterates", "sstep_solve"]
 
 
-def sstep_solve(problem, s, eps_star, max_outer=None):
+def sstep_solve(problem, s, eps_star, max_outer=None, full_trace=False):
     """Fixed s-step CG with the monomial basis.
 
     Per outer loop: build the 2s+1 column basis from the current (p, r),
@@ -22,7 +22,8 @@ def sstep_solve(problem, s, eps_star, max_outer=None):
     Gram-estimated residual can end the block early, subject to
     confirmation against the true residual at the next boundary. A run
     that exhausts max_outer (default 100 n / s) ends stagnated. Raises
-    ValueError for s < 1 or eps_star <= 0.
+    ValueError for s < 1 or eps_star <= 0. The trace forms the true residual
+    at outer boundaries only (NaN on inner rows) unless full_trace=True.
 
     Returns (x, SolveTrace, CgCoefficients); one OuterLoopRecord per outer
     loop is attached as trace.outer_records.
@@ -32,4 +33,4 @@ def sstep_solve(problem, s, eps_star, max_outer=None):
     if max_outer is None:
         max_outer = max(1, (100 * problem.a.n) // s)
     cfg = AdaptiveConfig(sigma=s, eps_star=eps_star, basis_kind="monomial", max_outer=max_outer)
-    return _blocked_solve(problem, cfg, fixed=True)
+    return _blocked_solve(problem, cfg, fixed=True, full_trace=full_trace)

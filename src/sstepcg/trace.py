@@ -32,11 +32,13 @@ class SolveTrace:
     """One record per global iteration plus one step count per outer loop.
 
     Residual columns are relative to ||b||; resid_gap is the absolute norm
-    of (b - A x_i) - r_i. c_values holds the per-iteration error-ratio
-    estimate, lambda_min/lambda_max the running Ritz estimates. s_schedule
-    holds the number of iterations each outer loop ran (1 per HSCG step;
-    a blocked solve's last loop may have run none), so it sums to
-    total_iters; the outer-loop counts and marks are read from it.
+    of (b - A x_i) - r_i. A row whose residuals were not formed (a blocked
+    solve's inner iterations unless it keeps the full trace) holds NaN
+    there. c_values holds the per-iteration error-ratio estimate,
+    lambda_min/lambda_max the running Ritz estimates. s_schedule holds the
+    number of iterations each outer loop ran (1 per HSCG step; a blocked
+    solve's last loop may have run none), so it sums to total_iters; the
+    outer-loop counts and marks are read from it.
     """
 
     true_resid: list = field(default_factory=list)
@@ -60,6 +62,12 @@ class SolveTrace:
         self.lambda_min.append(float(lmin))
         self.lambda_max.append(float(lmax))
         self.psi.append(float(psi))
+
+    def record_residuals(self, true_rel, upd_rel, gap):
+        """Fill in the residual entries of the last recorded iteration."""
+        self.true_resid[-1] = float(true_rel)
+        self.upd_resid[-1] = float(upd_rel)
+        self.resid_gap[-1] = float(gap)
 
     @property
     def total_iters(self):
@@ -89,11 +97,13 @@ class SolveTrace:
 
     @property
     def final_true_resid(self):
-        return self.true_resid[-1] if self.true_resid else np.inf
+        """The last formed true residual; inf when no row was formed."""
+        return next((v for v in reversed(self.true_resid) if not math.isnan(v)), np.inf)
 
     @property
     def min_true_resid(self):
-        return min(self.true_resid) if self.true_resid else np.inf
+        """The smallest formed true residual; inf when no row was formed."""
+        return min((v for v in self.true_resid if not math.isnan(v)), default=np.inf)
 
 
 # Shared run-control defaults.
@@ -105,11 +115,16 @@ class _Run:
     """The run state every solver shares: residual records, Ritz estimates,
     the one place a breakdown pair is dropped, and the stopping rules.
 
-    `start` forms r0 = b - A x0; `step` records one CG iteration; `stop` is
-    consulted before each step and `finish` ends the run. The stopping rules
-    read the true and updated residuals of the current iterate, relative to
-    ||b||, as the last iteration recorded them (both ||r0|| / ||b|| at the
-    start). Stagnation means the true residual has hit its attainable floor:
+    `start` forms r0 = b - A x0; `step` records the scalar part of one CG
+    iteration and `residuals` forms its true residual; `stop` is consulted
+    before each step and `finish` ends the run. Each `residuals` call is one
+    SpMV. HSCG forms every iteration's residuals. A blocked solve forms
+    them once per recovered outer loop, for the block's last iteration, and
+    at every iteration only with the full trace; the other rows keep NaN.
+    The stopping rules read the true and updated residuals of the current
+    iterate, relative to ||b||, as `residuals` last formed them (both
+    ||r0|| / ||b|| at the start), so they see the same values at either
+    level. Stagnation means the true residual has hit its attainable floor:
     no new minimum inside the window AND the updated residual r has collapsed
     well below the true one (the residual-gap signature of the floor).
     Mid-run plateaus where both residuals still agree -- routine in delayed
@@ -133,24 +148,31 @@ class _Run:
         self.true_rel = self.upd_rel = math.sqrt(r @ r) / self.nb
         return r
 
-    def step(self, alpha, beta, x, r):
-        """Record one iteration: its (alpha, beta) pair, then the true residual
-        b - A x against the updated residual r. A pair the Ritz state rejects
-        stays in the coefficients but out of the Ritz estimates."""
+    def step(self, alpha, beta):
+        """Record one iteration's scalar part: its (alpha, beta) pair, c, psi
+        and the Ritz estimates; its residual entries stay NaN until
+        `residuals` forms them. A pair the Ritz state rejects stays in the
+        coefficients but out of the Ritz estimates."""
         self.coeffs.append(alpha, beta)
         ritz = self.ritz
         try:
             ritz.absorb_step(alpha, beta)
         except BreakdownSignal:
             pass
+        self.trace.record_iteration(
+            math.nan, math.nan, math.nan,
+            ritz.xi_estimate(), ritz.lambda_min, ritz.lambda_max, ritz.psi,
+        )
+
+    def residuals(self, x, r):
+        """Form the true residual b - A x of the last recorded iteration
+        against its updated residual r (one SpMV and three norms), and
+        record both and their gap."""
         tv = self.b - spmv(self.a, x)
         self.true_rel = math.sqrt(tv @ tv) / self.nb
         self.upd_rel = math.sqrt(r @ r) / self.nb
         gap = tv - r
-        self.trace.record_iteration(
-            self.true_rel, self.upd_rel, math.sqrt(gap @ gap),
-            ritz.xi_estimate(), ritz.lambda_min, ritz.lambda_max, ritz.psi,
-        )
+        self.trace.record_residuals(self.true_rel, self.upd_rel, math.sqrt(gap @ gap))
 
     def stop(self):
         """True when the run must stop; sets the trace's converged, diverged

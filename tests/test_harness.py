@@ -332,6 +332,18 @@ class TestCli:
         rc = cli_main(["solve", "--matrix", "/nonexistent.mtx", "--alg", "hscg"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--max-iters", "--max-outer"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_rejects_empty_budget(self, flag, value, tmp_path, capsys):
+        # a zero budget would measure the HSCG floor on no iterations
+        # (eps* = inf) and report the cell converged
+        mm = _identity_mm(tmp_path)
+        argv = ["solve", "--matrix", mm, "--alg", "hscg", "--eps-star-mode", "hscg-attainable", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"{flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
     def test_sigma_alias_removed(self, tmp_path):
         mm = _identity_mm(tmp_path)
         with pytest.raises(SystemExit):

@@ -172,13 +172,13 @@ class TestFixedPolicy:
 
     @pytest.mark.parametrize("max_outer", [None, 3])
     def test_spmv_count(self, monkeypatch, max_outer):
-        # r0, 2 s - 1 per basis, one true residual per iteration; none at
-        # the outer boundaries or at the end of the budget
+        # r0, 2 s - 1 per basis, one true residual per outer boundary; none
+        # at the end of the budget
         prob = problem_from_dense(random_spd(50, 1e3, seed=38))
         calls = count_spmvs(monkeypatch)
         _, trace, _ = sstep_solve(prob, 4, 1e-10, max_outer=max_outer)
         assert trace.converged == (max_outer is None)
-        assert len(calls) == 1 + trace.total_outer * (2 * 4 - 1) + trace.total_iters
+        assert len(calls) == 1 + trace.total_outer * (2 * 4 - 1) + trace.total_outer
 
     def test_rejects_bad_arguments(self):
         prob = problem_from_dense(np.eye(5))
